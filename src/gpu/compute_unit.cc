@@ -29,6 +29,14 @@ ComputeUnit::ComputeUnit(sim::Engine &engine, std::string name,
     }
 }
 
+ComputeUnit::~ComputeUnit()
+{
+    // A run aborted at its cycle limit can leave a dispatch pending;
+    // the engine outlives this CU and must not keep a dangling event.
+    if (dispatchEvent_.scheduled())
+        engine().deschedule(dispatchEvent_);
+}
+
 void
 ComputeUnit::startWavefront(const WaveDesc &desc)
 {
@@ -104,29 +112,33 @@ ComputeUnit::enqueueLines(WaveState *wave,
 void
 ComputeUnit::scheduleDispatch()
 {
-    if (dispatchScheduled_ || dispatchQueue_.empty())
+    if (dispatchEvent_.scheduled() || dispatchQueue_.empty())
         return;
-    dispatchScheduled_ = true;
-    schedule(1, [this] { dispatchCycle(); });
+    engine().schedule(dispatchEvent_, 1);
 }
 
 void
 ComputeUnit::dispatchCycle()
 {
-    dispatchScheduled_ = false;
     std::uint32_t issued = 0;
     while (issued < params_.issueWidth && !dispatchQueue_.empty()) {
         PendingLine &pl = dispatchQueue_.front();
         WaveState *wave = pl.wave;
         const CoalescedAccess a = pl.access;
         bool accepted;
-        if (a.isWrite) {
+        if (dispatchPops_ == refusedAtPop_ &&
+            l1_->stateEpoch() == refusedEpoch_) {
+            // Same head, same L1 state: the L1 would refuse it again.
+            l1_->countRepeatedRejection();
+            accepted = false;
+        } else if (a.isWrite) {
             accepted = l1_->access(a.line, a.offset, a.bytes, true,
                                    nullptr);
             if (accepted) {
                 // Writes complete for the wavefront at acceptance; the
                 // write-through ack only recycles the tracking slot.
                 dispatchQueue_.pop_front();
+                ++dispatchPops_;
                 ++issued;
                 lineDone(wave);
             }
@@ -135,10 +147,13 @@ ComputeUnit::dispatchCycle()
                                    [this, wave] { lineDone(wave); });
             if (accepted) {
                 dispatchQueue_.pop_front();
+                ++dispatchPops_;
                 ++issued;
             }
         }
         if (!accepted) {
+            refusedAtPop_ = dispatchPops_;
+            refusedEpoch_ = l1_->stateEpoch();
             if (params_.wakeOnL1Unblock) {
                 stalled_ = true;
                 return; // woken by the L1 unblock hook

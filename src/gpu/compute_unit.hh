@@ -76,6 +76,7 @@ class ComputeUnit : public sim::SimObject
                 const CuParams &params, mem::L1Cache::FillFn fill,
                 vm::Tlb::MissHandler tlb_miss,
                 std::function<void(const WaveDesc &)> wave_done);
+    ~ComputeUnit() override;
 
     /** True when another wavefront can be made resident. */
     bool
@@ -139,7 +140,24 @@ class ComputeUnit : public sim::SimObject
 
     std::list<WaveState> waves_;
     std::deque<PendingLine> dispatchQueue_;
-    bool dispatchScheduled_ = false;
+
+    /** Queued exactly while a dispatch cycle is pending. */
+    sim::MemberEvent<ComputeUnit, &ComputeUnit::dispatchCycle>
+        dispatchEvent_{this};
+
+    /**
+     * Lines popped off dispatchQueue_ so far: the head is the same
+     * element for as long as this does not change.
+     */
+    std::uint64_t dispatchPops_ = 0;
+
+    /**
+     * dispatchPops_ and the L1 state epoch when the L1 last refused
+     * the head. While both still match, offering the head again would
+     * be refused again, so dispatch only counts the refusal.
+     */
+    std::uint64_t refusedAtPop_ = ~std::uint64_t{0};
+    std::uint64_t refusedEpoch_ = 0;
 
     /** Parked on a full L1 awaiting the unblock hook (wakeOnL1Unblock). */
     bool stalled_ = false;

@@ -877,6 +877,16 @@ MultiGpuSystem::l1ReadMisses() const
     return sum;
 }
 
+std::uint64_t
+MultiGpuSystem::l1Rejections() const
+{
+    std::uint64_t sum = 0;
+    for (const auto &chip : chips_)
+        for (const auto &cu : chip.cus)
+            sum += cu->l1().rejections();
+    return sum;
+}
+
 double
 MultiGpuSystem::l1Mpki() const
 {

@@ -140,6 +140,9 @@ class MultiGpuSystem : public workloads::PlacementDirectory
     std::uint64_t l1ReadAccesses() const;
     std::uint64_t l1ReadMisses() const;
 
+    /** L1 accesses refused for lack of an MSHR/write slot (retried). */
+    std::uint64_t l1Rejections() const;
+
     /** L1 read misses per kilo wavefront instruction (Figures 16/17). */
     double l1Mpki() const;
 

@@ -27,6 +27,7 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         }
         ++writeAccesses_;
         ++outstandingWrites_;
+        ++stateEpoch_;
         if (tags_.present(line))
             tags_.touch(line); // data updated in place
         FillRequest req;
@@ -37,6 +38,7 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         req.done = [this, done = std::move(done)](SectorMask) {
             NC_ASSERT(outstandingWrites_ > 0, "write ack underflow");
             --outstandingWrites_;
+            ++stateEpoch_;
             if (onUnblock_)
                 onUnblock_();
             if (done)
@@ -60,6 +62,7 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
     Waiter waiter{needed, offset, bytes, std::move(done)};
     if (mshr_.outstanding(line)) {
         mshr_.merge(line, std::move(waiter));
+        ++stateEpoch_;
         return true;
     }
     if (mshr_.size() + outstandingWrites_ >= mshr_.capacity()) {
@@ -69,6 +72,7 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         return false;
     }
     mshr_.allocate(line, std::move(waiter));
+    ++stateEpoch_;
 
     // The lookup pipeline ran before the miss went below. The
     // FillRequest is built inside the callback: capturing it by value
@@ -95,6 +99,7 @@ L1Cache::handleFill(Addr line, SectorMask filled)
     NC_ASSERT(filled != 0, "fill delivered no sectors");
     tags_.fill(line, filled);
     auto waiters = mshr_.release(line);
+    ++stateEpoch_;
     if (onUnblock_)
         onUnblock_();
     for (auto &w : waiters) {

@@ -92,6 +92,19 @@ class L1Cache : public sim::SimObject
     std::uint64_t writeAccesses() const { return writeAccesses_; }
     std::uint64_t rejections() const { return rejections_; }
 
+    /**
+     * Counter bumped by every state change that can turn a refused
+     * access into an accepted one: an MSHR allocation, merge or
+     * release, a write slot taken or freed, and a tag fill. While it is
+     * unchanged, re-offering an access that was refused is refused
+     * again with no other effect, so a caller may skip the call and
+     * report the refusal through countRepeatedRejection() instead.
+     */
+    std::uint64_t stateEpoch() const { return stateEpoch_; }
+
+    /** Record a refusal the caller knows access() would repeat. */
+    void countRepeatedRejection() { ++rejections_; }
+
     /** Misses per kilo "accesses" need instruction counts; the CU owns
      *  those, so it reads raw miss counts from here. */
 
@@ -112,6 +125,7 @@ class L1Cache : public sim::SimObject
     FillFn below_;
     Mshr<Waiter> mshr_;
     std::size_t outstandingWrites_ = 0;
+    std::uint64_t stateEpoch_ = 0;
     Callback onUnblock_;
 
     std::uint64_t readAccesses_ = 0;

@@ -7,8 +7,8 @@
 #ifndef NETCRAFTER_MEM_MSHR_HH
 #define NETCRAFTER_MEM_MSHR_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/logging.hh"
@@ -19,6 +19,11 @@ namespace netcrafter::mem {
 /**
  * MSHR file keyed by block address. @tparam Payload is whatever the
  * cache needs to resume a waiting access when the fill arrives.
+ *
+ * The file is a flat table scanned linearly: MSHR files hold 32-64
+ * entries, where a scan over a contiguous key array beats hashing.
+ * Releasing an entry moves the last one into its slot; each entry's
+ * waiters stay in merge order.
  */
 template <typename Payload>
 class Mshr
@@ -27,14 +32,10 @@ class Mshr
     explicit Mshr(std::size_t entries) : entries_(entries) {}
 
     /** True when no new primary miss can be tracked. */
-    bool full() const { return table_.size() >= entries_; }
+    bool full() const { return keys_.size() >= entries_; }
 
     /** True when a miss for @p addr is already outstanding. */
-    bool
-    outstanding(Addr addr) const
-    {
-        return table_.find(addr) != table_.end();
-    }
+    bool outstanding(Addr addr) const { return find(addr) != kNone; }
 
     /**
      * Register a primary miss for @p addr. Requires !outstanding(addr)
@@ -45,7 +46,9 @@ class Mshr
     {
         NC_ASSERT(!outstanding(addr), "duplicate MSHR allocation");
         NC_ASSERT(!full(), "MSHR overflow");
-        table_[addr].push_back(std::move(payload));
+        keys_.push_back(addr);
+        waiters_.emplace_back();
+        waiters_.back().push_back(std::move(payload));
         ++allocations_;
     }
 
@@ -53,9 +56,9 @@ class Mshr
     void
     merge(Addr addr, Payload payload)
     {
-        auto it = table_.find(addr);
-        NC_ASSERT(it != table_.end(), "merge without outstanding entry");
-        it->second.push_back(std::move(payload));
+        const std::size_t i = find(addr);
+        NC_ASSERT(i != kNone, "merge without outstanding entry");
+        waiters_[i].push_back(std::move(payload));
         ++merges_;
     }
 
@@ -63,21 +66,41 @@ class Mshr
     std::vector<Payload>
     release(Addr addr)
     {
-        auto it = table_.find(addr);
-        NC_ASSERT(it != table_.end(), "release without outstanding entry");
-        std::vector<Payload> waiters = std::move(it->second);
-        table_.erase(it);
+        const std::size_t i = find(addr);
+        NC_ASSERT(i != kNone, "release without outstanding entry");
+        std::vector<Payload> waiters = std::move(waiters_[i]);
+        if (i + 1 != keys_.size()) {
+            keys_[i] = keys_.back();
+            waiters_[i] = std::move(waiters_.back());
+        }
+        keys_.pop_back();
+        waiters_.pop_back();
         return waiters;
     }
 
-    std::size_t size() const { return table_.size(); }
+    std::size_t size() const { return keys_.size(); }
     std::size_t capacity() const { return entries_; }
     std::uint64_t allocations() const { return allocations_; }
     std::uint64_t merges() const { return merges_; }
 
   private:
+    static constexpr std::size_t kNone = ~std::size_t{0};
+
+    std::size_t
+    find(Addr addr) const
+    {
+        for (std::size_t i = 0; i < keys_.size(); ++i) {
+            if (keys_[i] == addr)
+                return i;
+        }
+        return kNone;
+    }
+
     std::size_t entries_;
-    std::unordered_map<Addr, std::vector<Payload>> table_;
+
+    /** Outstanding block addresses; waiters_[i] belongs to keys_[i]. */
+    std::vector<Addr> keys_;
+    std::vector<std::vector<Payload>> waiters_;
     std::uint64_t allocations_ = 0;
     std::uint64_t merges_ = 0;
 };

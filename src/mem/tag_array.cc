@@ -15,7 +15,7 @@ TagArray::TagArray(std::uint64_t size_bytes, std::uint32_t assoc,
     NC_ASSERT(lines >= assoc_, "cache smaller than one set");
     numSets_ = static_cast<std::uint32_t>(lines / assoc_);
     NC_ASSERT(numSets_ > 0, "cache must have at least one set");
-    ways_.resize(static_cast<std::size_t>(numSets_) * assoc_);
+    chunkOf_.resize((numSets_ + kChunkSets - 1) / kChunkSets);
 }
 
 std::uint32_t
@@ -24,37 +24,57 @@ TagArray::setOf(Addr line) const
     return static_cast<std::uint32_t>((line / lineBytes_) % numSets_);
 }
 
-const TagArray::Way *
-TagArray::findWay(Addr line) const
+std::size_t
+TagArray::setBase(std::uint32_t set) const
 {
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(line)) * assoc_;
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        const Way &way = ways_[base + w];
-        if (way.valid != 0 && way.line == line)
-            return &way;
-    }
-    return nullptr;
+    const std::uint32_t chunk = chunkOf_[set / kChunkSets];
+    if (chunk == 0)
+        return kNoSlot;
+    return (static_cast<std::size_t>(chunk - 1) * kChunkSets +
+            set % kChunkSets) *
+           assoc_;
 }
 
-TagArray::Way *
-TagArray::findWay(Addr line)
+std::size_t
+TagArray::materializeSet(std::uint32_t set)
 {
-    return const_cast<Way *>(
-        static_cast<const TagArray *>(this)->findWay(line));
+    std::uint32_t &chunk = chunkOf_[set / kChunkSets];
+    if (chunk == 0) {
+        const std::size_t lines = tags_.size() + kChunkSets * assoc_;
+        tags_.resize(lines);
+        valid_.resize(lines);
+        lastUse_.resize(lines);
+        dirty_.resize(lines);
+        chunk = static_cast<std::uint32_t>(lines / (kChunkSets * assoc_));
+    }
+    return setBase(set);
+}
+
+std::size_t
+TagArray::findSlot(Addr line) const
+{
+    const std::size_t base = setBase(setOf(line));
+    if (base == kNoSlot)
+        return kNoSlot;
+    const Addr key = line + 1;
+    for (std::uint32_t w = 0; w < assoc_; ++w) {
+        if (tags_[base + w] == key)
+            return base + w;
+    }
+    return kNoSlot;
 }
 
 bool
 TagArray::present(Addr line) const
 {
-    return findWay(line) != nullptr;
+    return findSlot(line) != kNoSlot;
 }
 
 SectorMask
 TagArray::validSectors(Addr line) const
 {
-    const Way *way = findWay(line);
-    return way ? way->valid : 0;
+    const std::size_t slot = findSlot(line);
+    return slot != kNoSlot ? valid_[slot] : 0;
 }
 
 bool
@@ -69,63 +89,75 @@ TagArray::fill(Addr line, SectorMask mask)
     NC_ASSERT(mask != 0, "fill with empty sector mask");
     ++fills_;
     ++useClock_;
-    if (Way *way = findWay(line)) {
-        way->valid |= mask;
-        way->lastUse = useClock_;
+    const std::size_t base = materializeSet(setOf(line));
+    const Addr key = line + 1;
+
+    // One pass finds the line itself, the first invalid way, and the
+    // least recently used way. Stamps of valid ways are unique, so the
+    // strict comparison picks the same way as an in-order scan would.
+    std::size_t hit = kNoSlot;
+    std::size_t invalid = kNoSlot;
+    std::size_t lru = base;
+    for (std::size_t slot = base; slot < base + assoc_; ++slot) {
+        const Addr tag = tags_[slot];
+        if (tag == key) {
+            hit = slot;
+            break;
+        }
+        if (tag == 0) {
+            if (invalid == kNoSlot)
+                invalid = slot;
+        } else if (lastUse_[slot] < lastUse_[lru]) {
+            lru = slot;
+        }
+    }
+    if (hit != kNoSlot) {
+        valid_[hit] |= mask;
+        lastUse_[hit] = useClock_;
         return Eviction{};
     }
 
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(line)) * assoc_;
-    Way *victim = &ways_[base];
-    for (std::uint32_t w = 0; w < assoc_; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid == 0) {
-            victim = &way;
-            break;
-        }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
-    }
-
     Eviction ev;
-    if (victim->valid != 0) {
+    const std::size_t victim = invalid != kNoSlot ? invalid : lru;
+    if (tags_[victim] != 0) {
         ev.valid = true;
-        ev.line = victim->line;
-        ev.dirty = victim->dirty;
+        ev.line = tags_[victim] - 1;
+        ev.dirty = dirty_[victim] != 0;
         ++evictions_;
     }
-    victim->line = line;
-    victim->valid = mask;
-    victim->dirty = false;
-    victim->lastUse = useClock_;
+    tags_[victim] = key;
+    valid_[victim] = mask;
+    dirty_[victim] = 0;
+    lastUse_[victim] = useClock_;
     return ev;
 }
 
 void
 TagArray::touch(Addr line)
 {
-    if (Way *way = findWay(line))
-        way->lastUse = ++useClock_;
+    const std::size_t slot = findSlot(line);
+    if (slot != kNoSlot)
+        lastUse_[slot] = ++useClock_;
 }
 
 void
 TagArray::markDirty(Addr line)
 {
-    if (Way *way = findWay(line))
-        way->dirty = true;
+    const std::size_t slot = findSlot(line);
+    if (slot != kNoSlot)
+        dirty_[slot] = 1;
 }
 
 bool
 TagArray::invalidate(Addr line)
 {
-    if (Way *way = findWay(line)) {
-        way->valid = 0;
-        way->dirty = false;
-        way->line = kAddrInvalid;
-        return true;
-    }
-    return false;
+    const std::size_t slot = findSlot(line);
+    if (slot == kNoSlot)
+        return false;
+    tags_[slot] = 0;
+    valid_[slot] = 0;
+    dirty_[slot] = 0;
+    return true;
 }
 
 SectorMask

@@ -7,6 +7,7 @@
 #ifndef NETCRAFTER_MEM_TAG_ARRAY_HH
 #define NETCRAFTER_MEM_TAG_ARRAY_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -35,6 +36,15 @@ struct Eviction
 /**
  * LRU set-associative tag array. Data values are not stored (this is a
  * timing simulator); only tags, per-sector valid bits, and dirty bits.
+ *
+ * Storage is lazy and structure-of-arrays. Sets are grouped into chunks
+ * of kChunkSets; a chunk's tags, valid masks, LRU stamps and dirty
+ * flags are materialized (zeroed) on the chunk's first fill() and live
+ * in four parallel arrays, so a short run pays only for the sets it
+ * touched. A tag is stored as line + 1, making an all-zero slot an
+ * invalid way. Lookups on a never-filled chunk miss without
+ * allocating. Replacement is unaffected by laziness: the victim is the
+ * first invalid way in way order, else the way with the oldest stamp.
  */
 class TagArray
 {
@@ -87,25 +97,56 @@ class TagArray
     std::uint64_t fills() const { return fills_; }
     std::uint64_t evictions() const { return evictions_; }
 
-  private:
-    struct Way
+    /**
+     * Bytes of per-line state materialized so far: 0 after
+     * construction, growing by one chunk's worth per touched chunk.
+     */
+    std::size_t
+    materializedBytes() const
     {
-        Addr line = kAddrInvalid;
-        SectorMask valid = 0;
-        bool dirty = false;
-        std::uint64_t lastUse = 0;
-    };
+        return tags_.size() * kBytesPerLine;
+    }
+
+  private:
+    /** Sets per lazily materialized chunk. */
+    static constexpr std::uint32_t kChunkSets = 4;
+
+    /** Tag + valid mask + LRU stamp + dirty flag. */
+    static constexpr std::size_t kBytesPerLine =
+        sizeof(Addr) + sizeof(SectorMask) + sizeof(std::uint64_t) +
+        sizeof(std::uint8_t);
 
     std::uint32_t setOf(Addr line) const;
-    const Way *findWay(Addr line) const;
-    Way *findWay(Addr line);
+
+    /**
+     * Index of set @p set's way 0 in the storage arrays, or kNoSlot
+     * when its chunk was never filled.
+     */
+    std::size_t setBase(std::uint32_t set) const;
+
+    /** setBase(), materializing the chunk first if needed. */
+    std::size_t materializeSet(std::uint32_t set);
+
+    /** Storage index of @p line, or kNoSlot when absent. */
+    std::size_t findSlot(Addr line) const;
+
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
 
     std::uint32_t assoc_;
     std::uint32_t lineBytes_;
     std::uint32_t sectorBytes_;
     std::uint32_t sectorsPerLine_;
     std::uint32_t numSets_;
-    std::vector<Way> ways_;
+
+    /** Per chunk: 1 + its materialization order, or 0 (untouched). */
+    std::vector<std::uint32_t> chunkOf_;
+
+    /** Per-line state of materialized chunks, in materialization order. */
+    std::vector<Addr> tags_;
+    std::vector<SectorMask> valid_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<std::uint8_t> dirty_;
+
     std::uint64_t useClock_ = 0;
     std::uint64_t fills_ = 0;
     std::uint64_t evictions_ = 0;

@@ -27,6 +27,8 @@ Switch::addPort(std::uint32_t flits_per_cycle)
     port.in->setOnPush([this] { notify(); });
     port.out->setOnPop([this] { notify(); });
     ports_.push_back(std::move(port));
+    crossbarRate_ = std::max(crossbarRate_, flits_per_cycle);
+    outBudget_.resize(ports_.size());
     return ports_.size() - 1;
 }
 
@@ -46,6 +48,8 @@ void
 Switch::addRoute(GpuId dst, std::size_t port)
 {
     NC_ASSERT(port < ports_.size(), "route to unknown port");
+    if (dst >= routes_.size())
+        routes_.resize(dst + 1, kNoRoute);
     routes_[dst] = port;
 }
 
@@ -64,25 +68,15 @@ Switch::setIngressProcessor(std::size_t port, IngressProcessor *proc)
 std::size_t
 Switch::routeFor(GpuId dst) const
 {
-    auto it = routes_.find(dst);
-    NC_ASSERT(it != routes_.end(), name(), ": no route for GPU ", dst);
-    return it->second;
+    NC_ASSERT(dst < routes_.size() && routes_[dst] != kNoRoute, name(),
+              ": no route for GPU ", dst);
+    return routes_[dst];
 }
 
 void
 Switch::notify()
 {
     wake_.notify();
-}
-
-bool
-Switch::hasWork() const
-{
-    for (const auto &port : ports_) {
-        if (!port.in->empty() || !port.pipeline.empty())
-            return true;
-    }
-    return false;
 }
 
 void
@@ -102,10 +96,7 @@ Switch::cycle()
     // Queue) at the switch's internal rate; the attached link then
     // drains the buffer at its own line rate — so a slow output link
     // backlogs its output queue, exactly where the paper queues flits.
-    std::uint32_t crossbar_rate = 1;
-    for (const auto &port : ports_)
-        crossbar_rate = std::max(crossbar_rate, port.speed);
-    std::vector<std::uint32_t> out_budget(ports_.size(), crossbar_rate);
+    std::fill(outBudget_.begin(), outBudget_.end(), crossbarRate_);
 
     bool stalled = false;
     for (auto &port : ports_) {
@@ -115,7 +106,7 @@ Switch::cycle()
                port.pipeline.front().readyAt <= t) {
             FlitPtr &flit = port.pipeline.front().flit;
             std::size_t out_port = routeFor(flit->pkt->dst);
-            if (out_budget[out_port] == 0)
+            if (outBudget_[out_port] == 0)
                 break;
             Port &out = ports_[out_port];
             if (out.egress != nullptr) {
@@ -135,7 +126,7 @@ Switch::cycle()
                 }
                 out.out->tryPush(flit);
             }
-            --out_budget[out_port];
+            --outBudget_[out_port];
             ++flitsRouted_;
             obs::tracepoint(engine(), obs::TraceLevel::Full,
                             obs::TraceKind::PktStage,
@@ -165,13 +156,13 @@ Switch::cycle()
             FlitPtr flit = port.in->pop();
             ++accepted;
             if (port.ingress != nullptr) {
-                std::vector<FlitPtr> expanded;
-                port.ingress->process(std::move(flit), expanded);
-                for (auto &f : expanded) {
+                port.ingress->process(std::move(flit), expanded_);
+                for (auto &f : expanded_) {
                     port.pipeline.push_back(
                         PipelineEntry{std::move(f),
                                       t + params_.pipelineLatency});
                 }
+                expanded_.clear();
             } else {
                 port.pipeline.push_back(
                     PipelineEntry{std::move(flit),

@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/noc/flit_buffer.hh"
@@ -128,11 +127,23 @@ class Switch : public sim::SimObject
     };
 
     void cycle();
-    bool hasWork() const;
+
+    static constexpr std::size_t kNoRoute = ~std::size_t{0};
 
     SwitchParams params_;
     std::vector<Port> ports_;
-    std::unordered_map<GpuId, std::size_t> routes_;
+
+    /** Output port per destination GPU (kNoRoute when unrouted). */
+    std::vector<std::size_t> routes_;
+
+    /** Fastest port speed: flits the crossbar moves per output a cycle. */
+    std::uint32_t crossbarRate_ = 1;
+
+    /** Per-cycle scratch: remaining crossbar budget of each output. */
+    std::vector<std::uint32_t> outBudget_;
+
+    /** Per-cycle scratch: flits an ingress processor expanded one into. */
+    std::vector<FlitPtr> expanded_;
     sim::SelfScheduling<Switch, &Switch::cycle> wake_;
     Tick lastCycleTick_ = kTickNever;
     Tick pendingLongWake_ = 0;

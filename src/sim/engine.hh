@@ -117,6 +117,9 @@ class Engine
     /** Schedule intrusive event @p ev at an absolute tick. */
     void scheduleAbs(Event &ev, Tick when);
 
+    /** Unlink pending intrusive event @p ev without firing it. */
+    void deschedule(Event &ev) { queue_.deschedule(ev); }
+
     /**
      * Run until the event queue drains, @p limit cycles elapse, or an
      * event calls stop(). When the limit is hit, now() advances to the

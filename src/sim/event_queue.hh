@@ -34,6 +34,7 @@
 #ifndef NETCRAFTER_SIM_EVENT_QUEUE_HH
 #define NETCRAFTER_SIM_EVENT_QUEUE_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <vector>
@@ -117,18 +118,43 @@ class EventQueue
             ev = slot.wire[slot.wireHead++];
         else
             ev = slot.q[slot.head++];
-        if (slot.wireHead == slot.wire.size() &&
-            slot.head == slot.q.size()) {
-            slot.wire.clear();
-            slot.wireHead = 0;
-            slot.q.clear();
-            slot.head = 0;
-            occupied_ &= ~(std::uint64_t{1} << slotOf(tick));
-        }
+        resetIfDrained(slotOf(tick));
         --wheelCount_;
         --count_;
         ev->scheduled_ = false;
         return ev;
+    }
+
+    /**
+     * Unlink @p ev without firing it; the other events keep their
+     * order. Linear in the size of the bucket (or heap) holding it, so
+     * meant for owners tearing down with an event still pending.
+     */
+    void
+    deschedule(Event &ev)
+    {
+        NC_ASSERT(ev.scheduled_, "deschedule of an unscheduled event");
+        if (ev.when_ - base_ < kWheelSlots) {
+            Slot &slot = slots_[slotOf(ev.when_)];
+            auto &bucket = ev.phase_ == kPhaseWire ? slot.wire : slot.q;
+            const std::size_t head =
+                ev.phase_ == kPhaseWire ? slot.wireHead : slot.head;
+            auto it = std::find(bucket.begin() + head, bucket.end(), &ev);
+            NC_ASSERT(it != bucket.end(), "scheduled event not queued");
+            bucket.erase(it);
+            resetIfDrained(slotOf(ev.when_));
+            --wheelCount_;
+        } else {
+            auto it = std::find(heap_.begin(), heap_.end(), &ev);
+            NC_ASSERT(it != heap_.end(), "scheduled event not queued");
+            heap_.erase(it);
+            std::make_heap(heap_.begin(), heap_.end(),
+                           [](const Event *a, const Event *b) {
+                               return before(b, a);
+                           });
+        }
+        --count_;
+        ev.scheduled_ = false;
     }
 
     /** Drop all pending events and reset the sequence counter. */
@@ -189,6 +215,20 @@ class EventQueue
             slots_[s].q.push_back(ev);
         occupied_ |= std::uint64_t{1} << s;
         ++wheelCount_;
+    }
+
+    /** Recycle slot @p s and clear its occupancy bit once drained. */
+    void
+    resetIfDrained(std::size_t s)
+    {
+        Slot &slot = slots_[s];
+        if (slot.wireHead != slot.wire.size() || slot.head != slot.q.size())
+            return;
+        slot.wire.clear();
+        slot.wireHead = 0;
+        slot.q.clear();
+        slot.head = 0;
+        occupied_ &= ~(std::uint64_t{1} << s);
     }
 
     /** Offset from base_ of the earliest occupied slot. */

@@ -127,6 +127,40 @@ TEST_F(CuFixture, L1CachesRepeatAccesses)
     EXPECT_GT(cu->l1().readHits(), 0u);
 }
 
+TEST_F(CuFixture, StalledDispatchCountsEveryRefusalAndUnlinksOnExit)
+{
+    // One MSHR: the first line's miss holds it and the instruction's
+    // other lines wait at the dispatch head, refused once per cycle.
+    params.l1.mshrEntries = 1;
+    auto cu = makeCu();
+    StubKernel kernel;
+    kernel.instrs = 1;
+    cu->startWavefront(WaveDesc{&kernel, 0, 0, 1});
+    engine.run(200);
+    ASSERT_EQ(fills.size(), 1u);
+    const std::uint64_t refused = cu->l1().rejections();
+    EXPECT_GT(refused, 100u);
+
+    // Most of these polls repeat a refusal the L1 state cannot have
+    // changed; each still counts.
+    engine.run(300);
+    EXPECT_EQ(cu->l1().rejections(), refused + 100);
+
+    // Freeing the MSHR lets the head through on the next poll; its
+    // miss goes below after the L1 lookup latency.
+    answerAll();
+    engine.run(301);
+    EXPECT_EQ(cu->l1().readMisses(), 2u);
+    engine.run(330);
+    EXPECT_EQ(fills.size(), 1u);
+
+    // Destroying the CU with a dispatch still queued unlinks it.
+    engine.run(400);
+    const std::size_t pending = engine.pendingEvents();
+    cu.reset();
+    EXPECT_EQ(engine.pendingEvents(), pending - 1);
+}
+
 TEST_F(CuFixture, MultipleWavesInterleave)
 {
     auto cu = makeCu();

@@ -112,6 +112,37 @@ TEST(EventQueue, ClearUnschedulesEverything)
     EXPECT_EQ(q.pop(), &far_ev);
 }
 
+TEST(EventQueue, DescheduleUnlinksWithoutDisturbingOthers)
+{
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<std::unique_ptr<TestEvent>> events;
+    // Three same-tick wheel events and three far-future heap events.
+    const Tick ticks[] = {5, 5, 5, 900, 700, 800};
+    for (int i = 0; i < 6; ++i) {
+        events.push_back(std::make_unique<TestEvent>(
+            [&order, i] { order.push_back(i); }));
+        q.schedule(*events.back(), ticks[i]);
+    }
+    q.deschedule(*events[1]); // middle of a wheel bucket
+    q.deschedule(*events[4]); // heap root
+    EXPECT_FALSE(events[1]->scheduled());
+    EXPECT_FALSE(events[4]->scheduled());
+    EXPECT_EQ(q.size(), 4u);
+    while (!q.empty())
+        q.pop()->process();
+    EXPECT_EQ(order, (std::vector<int>{0, 2, 5, 3}));
+
+    // A bucket emptied by deschedule() frees its tick.
+    TestEvent lone, later;
+    q.schedule(lone, 950);
+    q.schedule(later, 960);
+    q.deschedule(lone);
+    EXPECT_EQ(q.nextTick(), 960u);
+    EXPECT_EQ(q.pop(), &later);
+    EXPECT_TRUE(q.empty());
+}
+
 TEST(EventQueue, StressRandomOrderMatchesReferenceHeap)
 {
     // Random interleaving of schedules and pops, checked against a
