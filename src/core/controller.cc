@@ -10,9 +10,9 @@ namespace netcrafter::core {
 NetCrafterController::NetCrafterController(
     sim::Engine &engine, std::string name,
     const config::NetCrafterConfig &cfg,
-    std::function<ClusterId(GpuId)> cluster_of,
+    sim::InlineFn<ClusterId(GpuId)> cluster_of,
     std::vector<ClusterId> dst_clusters, noc::FlitBuffer &out,
-    std::uint32_t egress_rate, std::function<void()> wake_switch)
+    std::uint32_t egress_rate, sim::SmallFn wake_switch)
     : SimObject(engine, std::move(name)), cfg_(cfg),
       clusterOf_(std::move(cluster_of)), out_(out),
       egressRate_(egress_rate), wakeSwitch_(std::move(wake_switch)),
@@ -48,22 +48,23 @@ NetCrafterController::tryAccept(noc::FlitPtr flit)
     // Multi-flit packet: hold flits until the tail arrives so the Trim
     // Engine can operate at packet granularity (Figure 13, step 4b).
     noc::PacketPtr pkt = flit->pkt;
-    auto &flits = pending_[pkt->id];
     const bool is_tail = flit->isTail();
-    flits.push_back(std::move(flit));
+    pending_.add(pkt->id, std::move(flit));
     ++pendingPerDst_[dst];
     if (is_tail) {
-        std::vector<noc::FlitPtr> whole = std::move(flits);
-        pending_.erase(pkt->id);
-        pendingPerDst_[dst] -= whole.size();
-        completePacket(pkt, std::move(whole));
+        auto held = pending_.take(pkt->id);
+        while (!held.empty())
+            packetFlits_.push_back(pending_.pop(held));
+        pendingPerDst_[dst] -= packetFlits_.size();
+        completePacket(pkt, packetFlits_);
+        packetFlits_.clear();
     }
     return true;
 }
 
 void
 NetCrafterController::completePacket(const noc::PacketPtr &pkt,
-                                     std::vector<noc::FlitPtr> flits)
+                                     std::vector<noc::FlitPtr> &flits)
 {
     if (cfg_.trimming && trim_.shouldTrim(*pkt)) {
         const std::uint32_t bytes_before = pkt->totalBytes();
@@ -74,7 +75,7 @@ NetCrafterController::completePacket(const noc::PacketPtr &pkt,
                         bytes_before, pkt->totalBytes());
         // Re-segment the now-smaller packet; the discarded flits are
         // never transmitted on the lower-bandwidth network.
-        flits = noc::segmentPacket(pkt, flits.front()->capacity);
+        noc::segmentPacket(pkt, flits.front()->capacity, flits);
     }
     for (auto &f : flits)
         enqueue(std::move(f));

@@ -12,7 +12,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -22,8 +21,10 @@
 #include "src/core/trim_engine.hh"
 #include "src/noc/flit_buffer.hh"
 #include "src/noc/switch.hh"
+#include "src/sim/flat_map.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::core {
 
@@ -57,10 +58,10 @@ class NetCrafterController : public sim::SimObject,
      */
     NetCrafterController(sim::Engine &engine, std::string name,
                          const config::NetCrafterConfig &cfg,
-                         std::function<ClusterId(GpuId)> cluster_of,
+                         sim::InlineFn<ClusterId(GpuId)> cluster_of,
                          std::vector<ClusterId> dst_clusters,
                          noc::FlitBuffer &out, std::uint32_t egress_rate,
-                         std::function<void()> wake_switch);
+                         sim::SmallFn wake_switch);
 
     /** EgressProcessor: the switch offers a routed flit. */
     bool tryAccept(noc::FlitPtr flit) override;
@@ -73,22 +74,25 @@ class NetCrafterController : public sim::SimObject,
   private:
     void enqueue(noc::FlitPtr flit);
     void completePacket(const noc::PacketPtr &pkt,
-                        std::vector<noc::FlitPtr> flits);
+                        std::vector<noc::FlitPtr> &flits);
     void schedulePump();
     void pump();
 
     config::NetCrafterConfig cfg_;
-    std::function<ClusterId(GpuId)> clusterOf_;
+    sim::InlineFn<ClusterId(GpuId)> clusterOf_;
     noc::FlitBuffer &out_;
     std::uint32_t egressRate_;
-    std::function<void()> wakeSwitch_;
+    sim::SmallFn wakeSwitch_;
 
     TrimEngine trim_;
     StitchEngine stitch_;
     ClusterQueue cq_;
 
     /** Flits of multi-flit packets awaiting their tail (Trim Engine). */
-    std::unordered_map<std::uint64_t, std::vector<noc::FlitPtr>> pending_;
+    sim::WaitLists<noc::FlitPtr> pending_;
+
+    /** Scratch: the flits of the packet whose tail just arrived. */
+    std::vector<noc::FlitPtr> packetFlits_;
 
     /** Accumulated-but-not-yet-CQ'd flits per destination cluster, so
      *  admission control covers the trim holding area too. */
@@ -112,9 +116,7 @@ class Unstitcher : public noc::IngressProcessor
     void
     process(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out) override
     {
-        auto restored = stitch_.unstitch(std::move(flit));
-        for (auto &f : restored)
-            out.push_back(std::move(f));
+        stitch_.unstitch(std::move(flit), out);
     }
 
     const StitchStats &stats() const { return stitch_.stats(); }

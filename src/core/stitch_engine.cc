@@ -27,27 +27,33 @@ std::vector<noc::FlitPtr>
 StitchEngine::unstitch(noc::FlitPtr flit)
 {
     std::vector<noc::FlitPtr> out;
+    unstitch(std::move(flit), out);
+    return out;
+}
+
+void
+StitchEngine::unstitch(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out)
+{
     if (!flit->isStitched()) {
         out.push_back(std::move(flit));
-        return out;
+        return;
     }
     ++stats_.unstitched;
-    out.reserve(flit->stitched.size() + 1);
 
-    std::vector<noc::StitchedPiece> pieces = std::move(flit->stitched);
-    flit->stitched.clear();
+    // Restore each piece, then strip the parent: clear() keeps the
+    // parent's piece storage for its next life in the flit pool.
+    noc::Flit &parent = *flit;
     out.push_back(std::move(flit));
-
-    for (auto &piece : pieces) {
+    for (auto &piece : parent.stitched) {
         auto restored = noc::makeFlit();
         restored->pkt = std::move(piece.pkt);
         restored->seq = piece.seq;
         restored->numFlits = piece.numFlits;
         restored->occupiedBytes = piece.bytes;
-        restored->capacity = out.front()->capacity;
+        restored->capacity = parent.capacity;
         out.push_back(std::move(restored));
     }
-    return out;
+    parent.stitched.clear();
 }
 
 } // namespace netcrafter::core

@@ -71,6 +71,9 @@ class StitchEngine
      */
     std::vector<noc::FlitPtr> unstitch(noc::FlitPtr flit);
 
+    /** unstitch() appending to @p out: the allocation-free form. */
+    void unstitch(noc::FlitPtr flit, std::vector<noc::FlitPtr> &out);
+
     const StitchStats &stats() const { return stats_; }
 
   private:

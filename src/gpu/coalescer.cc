@@ -1,7 +1,7 @@
 #include "src/gpu/coalescer.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <array>
 
 namespace netcrafter::gpu {
 
@@ -9,8 +9,23 @@ std::vector<CoalescedAccess>
 coalesce(const workloads::Instruction &instr)
 {
     std::vector<CoalescedAccess> out;
-    out.reserve(8);
-    std::unordered_map<Addr, std::size_t> index;
+    coalesce(instr, out);
+    return out;
+}
+
+void
+coalesce(const workloads::Instruction &instr,
+         std::vector<CoalescedAccess> &out)
+{
+    // Line -> index into out, open-addressed on the stack: a wavefront
+    // touches at most kWavefrontSize lines, so twice that many slots
+    // keep probe runs short.
+    constexpr std::size_t kSlots = 2 * kWavefrontSize;
+    std::array<Addr, kSlots> lines;
+    std::array<std::uint8_t, kSlots> index;
+    lines.fill(kAddrInvalid);
+
+    out.clear();
     for (Addr addr : instr.addrs) {
         if (addr == kAddrInvalid)
             continue;
@@ -23,12 +38,19 @@ coalesce(const workloads::Instruction &instr)
         // generators avoid straddles anyway.
         last = std::min(last, kCacheLineBytes - 1);
 
-        auto [it, inserted] = index.try_emplace(line, out.size());
-        if (inserted) {
+        std::size_t slot = static_cast<std::size_t>(
+                               (line / kCacheLineBytes) *
+                               0x9E3779B97F4A7C15ull >> 32) %
+                           kSlots;
+        while (lines[slot] != kAddrInvalid && lines[slot] != line)
+            slot = (slot + 1) % kSlots;
+        if (lines[slot] == kAddrInvalid) {
+            lines[slot] = line;
+            index[slot] = static_cast<std::uint8_t>(out.size());
             out.push_back(CoalescedAccess{line, first, last - first + 1,
                                           instr.isWrite});
         } else {
-            CoalescedAccess &a = out[it->second];
+            CoalescedAccess &a = out[index[slot]];
             const std::uint32_t lo = std::min(a.offset, first);
             const std::uint32_t hi = std::max(a.offset + a.bytes - 1,
                                               last);
@@ -36,7 +58,6 @@ coalesce(const workloads::Instruction &instr)
             a.bytes = hi - lo + 1;
         }
     }
-    return out;
 }
 
 } // namespace netcrafter::gpu

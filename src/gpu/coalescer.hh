@@ -37,6 +37,11 @@ struct CoalescedAccess
  */
 std::vector<CoalescedAccess> coalesce(const workloads::Instruction &instr);
 
+/** coalesce() into @p out, replacing its contents but keeping its
+ *  storage: the allocation-free form for the issue path. */
+void coalesce(const workloads::Instruction &instr,
+              std::vector<CoalescedAccess> &out);
+
 } // namespace netcrafter::gpu
 
 #endif // NETCRAFTER_GPU_COALESCER_HH

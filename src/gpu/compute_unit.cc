@@ -1,7 +1,5 @@
 #include "src/gpu/compute_unit.hh"
 
-#include <map>
-
 #include "src/sim/logging.hh"
 
 namespace netcrafter::gpu {
@@ -42,7 +40,13 @@ ComputeUnit::startWavefront(const WaveDesc &desc)
 {
     NC_ASSERT(hasFreeSlot(), name(), ": no free wavefront slot");
     NC_ASSERT(desc.kernel != nullptr, "wavefront without kernel");
-    waves_.emplace_back(desc);
+    if (spareWaves_.empty()) {
+        waves_.emplace_back(desc);
+    } else {
+        // Recycle a retired wave's node and access buffers.
+        waves_.splice(waves_.end(), spareWaves_, spareWaves_.begin());
+        waves_.back().reset(desc);
+    }
     WaveState *wave = &waves_.back();
     // Stagger wavefront starts slightly so they do not lockstep.
     schedule(1 + (waves_.size() % 4), [this, wave] {
@@ -64,8 +68,8 @@ ComputeUnit::startInstruction(WaveState *wave)
     ++wave->nextInstr;
     ++instructions_;
 
-    auto accesses = coalesce(instr);
-    if (accesses.empty()) {
+    coalesce(instr, wave->accesses);
+    if (wave->accesses.empty()) {
         // A pure-compute step: just burn the delay.
         schedule(std::max<Tick>(1, instr.computeDelay),
                  [this, wave] { startInstruction(wave); });
@@ -73,39 +77,50 @@ ComputeUnit::startInstruction(WaveState *wave)
     }
 
     wave->computeDelay = instr.computeDelay;
-    wave->pendingLines = static_cast<std::uint32_t>(accesses.size());
+    wave->pendingLines = static_cast<std::uint32_t>(wave->accesses.size());
 
-    // Group the accesses by virtual page; each distinct page needs one
-    // translation before its lines can be dispatched.
-    std::map<Addr, std::vector<CoalescedAccess>> by_page;
-    for (const auto &a : accesses)
-        by_page[a.line / kPageBytes].push_back(a);
-
-    wave->pendingTranslations =
-        static_cast<std::uint32_t>(by_page.size());
-    for (auto &[vpn, page_accesses] : by_page)
-        issueTranslation(wave, vpn, std::move(page_accesses));
+    // Each distinct page needs one translation before its lines can be
+    // dispatched; pages translate in ascending page order.
+    sortByPage(wave->accesses);
+    const auto &acc = wave->accesses;
+    std::uint32_t end = 0;
+    for (std::uint32_t begin = 0; begin < acc.size(); begin = end) {
+        const Addr vpn = acc[begin].line / kPageBytes;
+        end = begin + 1;
+        while (end < acc.size() && acc[end].line / kPageBytes == vpn)
+            ++end;
+        ++wave->pendingTranslations;
+        l1Tlb_->access(vpn, [this, wave, begin, end](vm::Translation) {
+            NC_ASSERT(wave->pendingTranslations > 0,
+                      "translation underflow");
+            --wave->pendingTranslations;
+            enqueueLines(wave, begin, end);
+        });
+    }
 }
 
 void
-ComputeUnit::issueTranslation(WaveState *wave, Addr vpn,
-                              std::vector<CoalescedAccess> accesses)
+ComputeUnit::sortByPage(std::vector<CoalescedAccess> &acc)
 {
-    l1Tlb_->access(vpn, [this, wave, accesses = std::move(accesses)](
-                            vm::Translation) {
-        NC_ASSERT(wave->pendingTranslations > 0,
-                  "translation underflow");
-        --wave->pendingTranslations;
-        enqueueLines(wave, accesses);
-    });
+    // Stable insertion sort: at most kWavefrontSize accesses, each page
+    // keeps its coalesced order, and unlike std::stable_sort nothing is
+    // allocated.
+    for (std::size_t i = 1; i < acc.size(); ++i) {
+        const CoalescedAccess a = acc[i];
+        std::size_t j = i;
+        for (; j > 0 && acc[j - 1].line / kPageBytes > a.line / kPageBytes;
+             --j)
+            acc[j] = acc[j - 1];
+        acc[j] = a;
+    }
 }
 
 void
-ComputeUnit::enqueueLines(WaveState *wave,
-                          const std::vector<CoalescedAccess> &accesses)
+ComputeUnit::enqueueLines(WaveState *wave, std::uint32_t begin,
+                          std::uint32_t end)
 {
-    for (const auto &a : accesses)
-        dispatchQueue_.push_back(PendingLine{wave, a});
+    for (std::uint32_t i = begin; i < end; ++i)
+        dispatchQueue_.push_back(PendingLine{wave, wave->accesses[i]});
     scheduleDispatch();
 }
 
@@ -186,10 +201,11 @@ ComputeUnit::retireWave(WaveState *wave)
 {
     for (auto it = waves_.begin(); it != waves_.end(); ++it) {
         if (&*it == wave) {
-            // Copy out the descriptor before erasing: the callback
-            // needs it (serve retirement) and the state dies here.
+            // Copy out the descriptor before recycling the node: the
+            // callback needs it (serve retirement) and may start a new
+            // wave in the same node.
             const WaveDesc desc = it->desc;
-            waves_.erase(it);
+            spareWaves_.splice(spareWaves_.begin(), waves_, it);
             if (waveDone_)
                 waveDone_(desc);
             return;

@@ -12,13 +12,14 @@
 #define NETCRAFTER_GPU_COMPUTE_UNIT_HH
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
+#include <vector>
 
 #include "src/gpu/coalescer.hh"
 #include "src/mem/l1_cache.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/sim_object.hh"
 #include "src/vm/tlb.hh"
 #include "src/workloads/workload.hh"
@@ -109,24 +110,45 @@ class ComputeUnit : public sim::SimObject
         std::uint32_t pendingLines = 0;
         std::uint32_t computeDelay = 0;
 
+        /**
+         * The in-flight instruction's line accesses, grouped by page in
+         * ascending page order. Reused by every instruction of the wave,
+         * and stable while its translations are outstanding.
+         */
+        std::vector<CoalescedAccess> accesses;
+
         explicit WaveState(const WaveDesc &d)
             : desc(d), rng(d.seed, (static_cast<std::uint64_t>(d.cta)
                                     << 20) ^ d.wave)
-        {}
+        {
+            accesses.reserve(kWavefrontSize);
+        }
+
+        /** Restart as a fresh wave for @p d, keeping buffer storage. */
+        void
+        reset(const WaveDesc &d)
+        {
+            desc = d;
+            rng = Pcg32(d.seed,
+                        (static_cast<std::uint64_t>(d.cta) << 20) ^ d.wave);
+            nextInstr = 0;
+            pendingTranslations = 0;
+            pendingLines = 0;
+            computeDelay = 0;
+        }
     };
 
     /** One translated line access awaiting dispatch to the L1. */
     struct PendingLine
     {
-        WaveState *wave;
+        WaveState *wave = nullptr;
         CoalescedAccess access;
     };
 
     void startInstruction(WaveState *wave);
-    void issueTranslation(WaveState *wave, Addr vpn,
-                          std::vector<CoalescedAccess> accesses);
-    void enqueueLines(WaveState *wave,
-                      const std::vector<CoalescedAccess> &accesses);
+    static void sortByPage(std::vector<CoalescedAccess> &acc);
+    void enqueueLines(WaveState *wave, std::uint32_t begin,
+                      std::uint32_t end);
     void lineDone(WaveState *wave);
     void maybeFinishInstruction(WaveState *wave);
     void retireWave(WaveState *wave);
@@ -139,7 +161,10 @@ class ComputeUnit : public sim::SimObject
     std::function<void(const WaveDesc &)> waveDone_;
 
     std::list<WaveState> waves_;
-    std::deque<PendingLine> dispatchQueue_;
+
+    /** Retired wave nodes, reused by startWavefront(). */
+    std::list<WaveState> spareWaves_;
+    sim::Ring<PendingLine> dispatchQueue_;
 
     /** Queued exactly while a dispatch cycle is pending. */
     sim::MemberEvent<ComputeUnit, &ComputeUnit::dispatchCycle>

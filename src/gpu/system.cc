@@ -134,8 +134,7 @@ MultiGpuSystem::buildChips()
         gmmu_params.walkers = cfg_.pageWalkers;
         chip.gmmu = std::make_unique<vm::Gmmu>(
             engine, prefix + ".gmmu", gmmu_params, pageTable_,
-            [this, g](const vm::WalkStep &step,
-                      std::function<void()> done) {
+            [this, g](const vm::WalkStep &step, sim::SmallFn done) {
                 fetchPte(g, step, std::move(done));
             });
 
@@ -174,9 +173,7 @@ MultiGpuSystem::buildChips()
         for (std::uint32_t c = 0; c < cfg_.cusPerGpu; ++c) {
             chip.cus.push_back(std::make_unique<ComputeUnit>(
                 engine, prefix + ".cu" + std::to_string(c), cu_params,
-                [this, g](mem::FillRequest req) {
-                    l1Fill(g, std::move(req));
-                },
+                [this, g](mem::FillRequest req) { l1Fill(g, req); },
                 [this, g](Addr vpn, vm::Tlb::Callback done) {
                     chips_[g].l2Tlb->access(vpn, std::move(done));
                 },
@@ -256,8 +253,35 @@ MultiGpuSystem::maskForRange(std::uint32_t offset,
     return mask;
 }
 
+std::uint32_t
+MultiGpuSystem::OutstandingTable::add(std::uint64_t req_id)
+{
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(slots.size());
+        slots.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    slots[slot].reqId = req_id;
+    return slot;
+}
+
+MultiGpuSystem::Outstanding
+MultiGpuSystem::OutstandingTable::take(std::uint32_t slot,
+                                       std::uint64_t req_id)
+{
+    NC_ASSERT(slot < slots.size() && slots[slot].reqId == req_id,
+              "response for unknown request ", req_id);
+    Outstanding entry = std::move(slots[slot]);
+    slots[slot].reqId = 0;
+    freeSlots.push_back(slot);
+    return entry;
+}
+
 void
-MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
+MultiGpuSystem::l1Fill(GpuId g, const mem::FillRequest &req)
 {
     const Addr line = req.line;
     const GpuId owner = pageTable_.dataOwner(line);
@@ -269,18 +293,14 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
 
     if (req.isWrite) {
         if (owner == g) {
-            chips_[g].l2->write(line, [done = std::move(req.done)] {
-                done(0);
-            });
+            chips_[g].l2->write(line, [req] { req.done(0); });
             return;
         }
         auto pkt = noc::makePacket(noc::PacketType::WriteReq, g, owner,
                                    line);
         markPriority(*pkt, g);
-        local.outstanding[pkt->id] =
-            [done = std::move(req.done)](const noc::Packet &) {
-                done(0);
-            };
+        pkt->reqSlot = local.outstanding.add(pkt->id);
+        local.outstanding.slots[pkt->reqSlot].fill = req;
         if (tryFusedRoundTrip(g, pkt))
             return;
         network_->sendPacket(std::move(pkt));
@@ -293,9 +313,7 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
             cfg_.l1FillMode == config::L1FillMode::SectorAlways
                 ? maskForRange(req.offset, req.bytes)
                 : fullL1Mask();
-        chips_[g].l2->read(line, [done = std::move(req.done), mask] {
-            done(mask);
-        });
+        chips_[g].l2->read(line, [req, mask] { req.done(mask); });
         return;
     }
 
@@ -315,23 +333,11 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
     if (inter_cluster)
         local.remoteReadBytes.sample(req.bytes);
 
-    const Tick t0 = engineOf(g).now();
-    local.outstanding[pkt->id] = [this, g, t0, inter_cluster,
-                                  req = std::move(req)](
-                                     const noc::Packet &rsp) {
-        if (inter_cluster)
-            gpuLocal_[g].interReadLatency.sample(
-                static_cast<double>(engineOf(g).now() - t0));
-        mem::SectorMask mask;
-        if (rsp.payloadBytes < kCacheLineBytes) {
-            // Trimmed (NetCrafter) or sector (SectorAlways) response:
-            // only the requested sectors arrived.
-            mask = maskForRange(rsp.neededOffset, rsp.bytesNeeded);
-        } else {
-            mask = fullL1Mask();
-        }
-        req.done(mask);
-    };
+    pkt->reqSlot = local.outstanding.add(pkt->id);
+    Outstanding &entry = local.outstanding.slots[pkt->reqSlot];
+    entry.fill = req;
+    entry.issuedAt = engineOf(g).now();
+    entry.interCluster = inter_cluster;
     if (tryFusedRoundTrip(g, pkt))
         return;
     network_->sendPacket(std::move(pkt));
@@ -339,7 +345,7 @@ MultiGpuSystem::l1Fill(GpuId g, mem::FillRequest req)
 
 void
 MultiGpuSystem::fetchPte(GpuId g, const vm::WalkStep &step,
-                         std::function<void()> done)
+                         sim::SmallFn done)
 {
     if (step.owner == g) {
         chips_[g].l2->read(lineAddr(step.pteAddr), std::move(done));
@@ -348,8 +354,9 @@ MultiGpuSystem::fetchPte(GpuId g, const vm::WalkStep &step,
     auto pkt = noc::makePacket(noc::PacketType::PageTableReq, g,
                                step.owner, step.pteAddr);
     markPriority(*pkt, g);
-    gpuLocal_[g].outstanding[pkt->id] =
-        [done = std::move(done)](const noc::Packet &) { done(); };
+    OutstandingTable &table = gpuLocal_[g].outstanding;
+    pkt->reqSlot = table.add(pkt->id);
+    table.slots[pkt->reqSlot].pteDone = std::move(done);
     if (tryFusedRoundTrip(g, pkt))
         return;
     network_->sendPacket(std::move(pkt));
@@ -363,6 +370,7 @@ MultiGpuSystem::buildResponse(GpuId owner, const noc::Packet &req)
         auto rsp = noc::makePacket(noc::PacketType::ReadRsp, owner,
                                    req.src, req.addr);
         rsp->reqId = req.id;
+        rsp->reqSlot = req.reqSlot;
         rsp->bytesNeeded = req.bytesNeeded;
         rsp->neededOffset = req.neededOffset;
         rsp->trimEligible = req.trimEligible;
@@ -386,6 +394,7 @@ MultiGpuSystem::buildResponse(GpuId owner, const noc::Packet &req)
         auto rsp = noc::makePacket(noc::PacketType::WriteRsp, owner,
                                    req.src, req.addr);
         rsp->reqId = req.id;
+        rsp->reqSlot = req.reqSlot;
         rsp->latencyCritical = req.latencyCritical;
         return rsp;
       }
@@ -393,6 +402,7 @@ MultiGpuSystem::buildResponse(GpuId owner, const noc::Packet &req)
         auto rsp = noc::makePacket(noc::PacketType::PageTableRsp,
                                    owner, req.src, req.addr);
         rsp->reqId = req.id;
+        rsp->reqSlot = req.reqSlot;
         rsp->latencyCritical = req.latencyCritical;
         return rsp;
       }
@@ -535,13 +545,37 @@ MultiGpuSystem::handleResponse(noc::PacketPtr rsp)
                     local.traceLane, rsp->reqId,
                     static_cast<std::uint32_t>(eng.now() -
                                                rsp->injectedAt));
-    auto it = local.outstanding.find(rsp->reqId);
-    NC_ASSERT(it != local.outstanding.end(),
-              "response for unknown request: ", rsp->toString());
-    auto done = std::move(it->second);
-    local.outstanding.erase(it);
-    done(*rsp);
+    // Take the entry before completing it: the completion may issue
+    // new requests that claim the freed slot.
+    Outstanding entry = local.outstanding.take(rsp->reqSlot, rsp->reqId);
+    switch (rsp->type) {
+      case noc::PacketType::ReadRsp: {
+        if (entry.interCluster)
+            local.interReadLatency.sample(
+                static_cast<double>(eng.now() - entry.issuedAt));
+        mem::SectorMask mask;
+        if (rsp->payloadBytes < kCacheLineBytes) {
+            // Trimmed (NetCrafter) or sector (SectorAlways) response:
+            // only the requested sectors arrived.
+            mask = maskForRange(rsp->neededOffset, rsp->bytesNeeded);
+        } else {
+            mask = fullL1Mask();
+        }
+        entry.fill.done(mask);
+        break;
+      }
+      case noc::PacketType::WriteRsp:
+        entry.fill.done(0);
+        break;
+      case noc::PacketType::PageTableRsp:
+        entry.pteDone();
+        break;
+      default:
+        NC_PANIC("request packet delivered to response handler: ",
+                 rsp->toString());
+    }
 }
+
 
 void
 MultiGpuSystem::dispatchKernel(const workloads::Kernel &kernel,
@@ -675,7 +709,7 @@ MultiGpuSystem::outstandingRequests() const
 {
     std::size_t sum = 0;
     for (const GpuLocal &local : gpuLocal_)
-        sum += local.outstanding.size();
+        sum += local.outstanding.live();
     return sum;
 }
 

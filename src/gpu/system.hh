@@ -26,7 +26,6 @@
 #include <deque>
 #include <iosfwd>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/config/system_config.hh"
@@ -246,6 +245,51 @@ class MultiGpuSystem : public workloads::PlacementDirectory
     };
 
     /**
+     * One request awaiting its response: either an L1 fill (data read
+     * or write) or a page-walk PTE fetch.
+     */
+    struct Outstanding
+    {
+        /** Id of the request packet (checked against the response). */
+        std::uint64_t reqId = 0;
+
+        /** The L1 miss a ReadRsp/WriteRsp completes. */
+        mem::FillRequest fill;
+
+        /** The walk step a PageTableRsp resumes. */
+        sim::SmallFn pteDone;
+
+        /** Read issue tick, for the inter-cluster latency statistic. */
+        Tick issuedAt = 0;
+        bool interCluster = false;
+    };
+
+    /**
+     * Requests awaiting responses, indexed by the slot id the request
+     * packet carries and its response echoes back (Packet::reqSlot).
+     * Freed slots are reused, so the table stops growing at the peak
+     * number of outstanding requests.
+     */
+    struct OutstandingTable
+    {
+        std::vector<Outstanding> slots;
+        std::vector<std::uint32_t> freeSlots;
+
+        /** Requests still awaiting a response. */
+        std::size_t
+        live() const
+        {
+            return slots.size() - freeSlots.size();
+        }
+
+        /** Claim a slot for request @p req_id; returns its index. */
+        std::uint32_t add(std::uint64_t req_id);
+
+        /** Release slot @p slot, returning its entry. */
+        Outstanding take(std::uint32_t slot, std::uint64_t req_id);
+    };
+
+    /**
      * Per-GPU bookkeeping that the GPU's shard thread owns exclusively:
      * the outstanding-request table (responses always return to the
      * requester's shard), remote-read statistics, and the priority RNG.
@@ -254,10 +298,7 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      */
     struct GpuLocal
     {
-        /** request packet id -> response continuation. */
-        std::unordered_map<std::uint64_t,
-                           std::function<void(const noc::Packet &)>>
-            outstanding;
+        OutstandingTable outstanding;
 
         stats::Average interReadLatency;
         stats::Distribution remoteReadBytes{
@@ -306,9 +347,8 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * response must ride the flit path too.
      */
     bool trySendResponseOnFlowLane(noc::PacketPtr &rsp);
-    void l1Fill(GpuId g, mem::FillRequest req);
-    void fetchPte(GpuId g, const vm::WalkStep &step,
-                  std::function<void()> done);
+    void l1Fill(GpuId g, const mem::FillRequest &req);
+    void fetchPte(GpuId g, const vm::WalkStep &step, sim::SmallFn done);
     mem::SectorMask fullL1Mask() const;
     mem::SectorMask maskForRange(std::uint32_t offset,
                                  std::uint32_t bytes) const;

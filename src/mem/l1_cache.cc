@@ -17,37 +17,35 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
                 bool is_write, Callback done)
 {
     NC_ASSERT(line % kCacheLineBytes == 0, "unaligned line address");
+    if (!is_write)
+        return accessRead(line, offset, bytes, done);
 
-    if (is_write) {
-        // Write-through, no-allocate: forward below; the slot bounds
-        // outstanding writes. The wavefront does not wait for the ack.
-        if (mshr_.size() + outstandingWrites_ >= mshr_.capacity()) {
-            ++rejections_;
-            return false;
-        }
-        ++writeAccesses_;
-        ++outstandingWrites_;
-        ++stateEpoch_;
-        if (tags_.present(line))
-            tags_.touch(line); // data updated in place
-        FillRequest req;
-        req.line = line;
-        req.offset = offset;
-        req.bytes = bytes;
-        req.isWrite = true;
-        req.done = [this, done = std::move(done)](SectorMask) {
-            NC_ASSERT(outstandingWrites_ > 0, "write ack underflow");
-            --outstandingWrites_;
-            ++stateEpoch_;
-            if (onUnblock_)
-                onUnblock_();
-            if (done)
-                done();
-        };
-        below_(std::move(req));
-        return true;
+    // Write-through, no-allocate: forward below; the slot bounds
+    // outstanding writes. The wavefront does not wait for the ack.
+    NC_ASSERT(!done, "writes complete at acceptance and take no callback");
+    if (mshr_.size() + outstandingWrites_ >= mshr_.capacity()) {
+        ++rejections_;
+        return false;
     }
+    ++writeAccesses_;
+    ++outstandingWrites_;
+    ++stateEpoch_;
+    if (tags_.present(line))
+        tags_.touch(line); // data updated in place
+    FillRequest req;
+    req.line = line;
+    req.offset = offset;
+    req.bytes = bytes;
+    req.isWrite = true;
+    req.l1 = this;
+    below_(req);
+    return true;
+}
 
+bool
+L1Cache::accessRead(Addr line, std::uint32_t offset, std::uint32_t bytes,
+                    Callback &done)
+{
     ++readAccesses_;
     const SectorMask needed = tags_.sectorsForRange(offset, bytes);
 
@@ -59,9 +57,8 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
     }
 
     ++readMisses_;
-    Waiter waiter{needed, offset, bytes, std::move(done)};
     if (mshr_.outstanding(line)) {
-        mshr_.merge(line, std::move(waiter));
+        mshr_.merge(line, Waiter{needed, offset, bytes, std::move(done)});
         ++stateEpoch_;
         return true;
     }
@@ -71,13 +68,10 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         ++rejections_;
         return false;
     }
-    mshr_.allocate(line, std::move(waiter));
+    mshr_.allocate(line, Waiter{needed, offset, bytes, std::move(done)});
     ++stateEpoch_;
 
-    // The lookup pipeline ran before the miss went below. The
-    // FillRequest is built inside the callback: capturing it by value
-    // (it embeds a std::function) would overflow SmallFn's inline
-    // buffer and put a heap allocation back on the miss path.
+    // The lookup pipeline ran before the miss went below.
     schedule(params_.lookupLatency, [this, line, offset, bytes, needed] {
         FillRequest req;
         req.line = line;
@@ -85,12 +79,25 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
         req.bytes = bytes;
         req.neededSectors = needed;
         req.isWrite = false;
-        req.done = [this, line](SectorMask filled) {
-            handleFill(line, filled);
-        };
-        below_(std::move(req));
+        req.l1 = this;
+        below_(req);
     });
     return true;
+}
+
+void
+L1Cache::completeFill(const FillRequest &req, SectorMask filled)
+{
+    NC_ASSERT(req.l1 == this, "fill completed into the wrong L1");
+    if (!req.isWrite) {
+        handleFill(req.line, filled);
+        return;
+    }
+    NC_ASSERT(outstandingWrites_ > 0, "write ack underflow");
+    --outstandingWrites_;
+    ++stateEpoch_;
+    if (onUnblock_)
+        onUnblock_();
 }
 
 void
@@ -108,25 +115,30 @@ L1Cache::handleFill(Addr line, SectorMask filled)
         } else {
             // The fill (e.g. a trimmed sector for the primary miss) does
             // not cover this merged waiter: replay its access.
-            retryAccess(line, w);
+            retryAccess(line, w.offset, w.bytes, std::move(w.done));
         }
     }
+    mshr_.recycle(std::move(waiters));
 }
 
 void
-L1Cache::retryAccess(Addr line, const Waiter &waiter)
+L1Cache::retryAccess(Addr line, std::uint32_t offset, std::uint32_t bytes,
+                     Callback done)
 {
     // Replay next cycle; if the MSHR is full the retry loops until a
-    // slot frees. Copy what we need from the waiter.
-    auto offset = waiter.offset;
-    auto bytes = waiter.bytes;
-    auto done = waiter.done;
-    schedule(1, [this, line, offset, bytes, done]() mutable {
-        if (!access(line, offset, bytes, false, done)) {
-            Waiter retry{0, offset, bytes, std::move(done)};
-            retryAccess(line, retry);
-        }
-    });
+    // slot frees.
+    retries_.push_back(Retry{line, offset, bytes, std::move(done)});
+    schedule(1, [this] { retryNext(); });
+}
+
+void
+L1Cache::retryNext()
+{
+    Retry retry = std::move(retries_.front());
+    retries_.pop_front();
+    if (!accessRead(retry.line, retry.offset, retry.bytes, retry.done))
+        retryAccess(retry.line, retry.offset, retry.bytes,
+                    std::move(retry.done));
 }
 
 } // namespace netcrafter::mem

@@ -11,13 +11,16 @@
 #define NETCRAFTER_MEM_L1_CACHE_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "src/mem/mshr.hh"
 #include "src/mem/tag_array.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::mem {
+
+class L1Cache;
 
 /** Configuration for one L1 vector cache. */
 struct L1Params
@@ -47,11 +50,14 @@ struct FillRequest
 
     bool isWrite = false;
 
+    /** The L1 the request completes into: a typed completion handle. */
+    L1Cache *l1 = nullptr;
+
     /**
      * Completion: @p filled is the sector mask actually delivered
      * (ignored for writes). Must be invoked exactly once.
      */
-    std::function<void(SectorMask filled)> done;
+    void done(SectorMask filled) const;
 };
 
 /**
@@ -61,8 +67,8 @@ struct FillRequest
 class L1Cache : public sim::SimObject
 {
   public:
-    using Callback = std::function<void()>;
-    using FillFn = std::function<void(FillRequest)>;
+    using Callback = sim::SmallFn;
+    using FillFn = sim::InlineFn<void(FillRequest)>;
 
     L1Cache(sim::Engine &engine, std::string name, const L1Params &params,
             FillFn below);
@@ -71,7 +77,8 @@ class L1Cache : public sim::SimObject
      * Issue a coalesced access to @p line needing the byte span
      * [@p offset, @p offset + @p bytes). Reads call @p done when the
      * data is in the cache; writes complete (for the wavefront) at
-     * acceptance — the write-through ack only frees the tracking slot.
+     * acceptance — the write-through ack only frees the tracking slot,
+     * so a write takes no @p done.
      *
      * @return false when no MSHR/write slot is available (retry later).
      */
@@ -105,6 +112,9 @@ class L1Cache : public sim::SimObject
     /** Record a refusal the caller knows access() would repeat. */
     void countRepeatedRejection() { ++rejections_; }
 
+    /** Complete @p req (issued by this L1) with @p filled sectors. */
+    void completeFill(const FillRequest &req, SectorMask filled);
+
     /** Misses per kilo "accesses" need instruction counts; the CU owns
      *  those, so it reads raw miss counts from here. */
 
@@ -117,13 +127,34 @@ class L1Cache : public sim::SimObject
         Callback done;
     };
 
+    /** A merged read the fill did not cover, replayed next cycle. */
+    struct Retry
+    {
+        Addr line = 0;
+        std::uint32_t offset = 0;
+        std::uint32_t bytes = 0;
+        Callback done;
+    };
+
+    /** access() for a read; consumes @p done only when accepted. */
+    bool accessRead(Addr line, std::uint32_t offset, std::uint32_t bytes,
+                    Callback &done);
     void handleFill(Addr line, SectorMask filled);
-    void retryAccess(Addr line, const Waiter &waiter);
+    void retryAccess(Addr line, std::uint32_t offset, std::uint32_t bytes,
+                     Callback done);
+    void retryNext();
 
     L1Params params_;
     TagArray tags_;
     FillFn below_;
     Mshr<Waiter> mshr_;
+
+    /**
+     * Pending replays in schedule order. Every replay fires exactly one
+     * cycle after it was queued, so the replay events fire in queue
+     * order and each pops the front.
+     */
+    sim::Ring<Retry> retries_;
     std::size_t outstandingWrites_ = 0;
     std::uint64_t stateEpoch_ = 0;
     Callback onUnblock_;
@@ -134,6 +165,12 @@ class L1Cache : public sim::SimObject
     std::uint64_t writeAccesses_ = 0;
     std::uint64_t rejections_ = 0;
 };
+
+inline void
+FillRequest::done(SectorMask filled) const
+{
+    l1->completeFill(*this, filled);
+}
 
 } // namespace netcrafter::mem
 

@@ -69,7 +69,7 @@ L2Cache::start(Addr line, bool is_write, Callback done)
     }
     if (mshr_.full()) {
         ++mshrStalls_;
-        parked_.emplace_back(line, std::move(waiter));
+        parked_.push_back(Parked{line, std::move(waiter)});
         return;
     }
     mshr_.allocate(line, std::move(waiter));
@@ -97,6 +97,7 @@ L2Cache::finishFill(Addr line)
             tags_.markDirty(line);
         w.done();
     }
+    mshr_.recycle(std::move(waiters));
     drainParked();
 }
 
@@ -109,9 +110,9 @@ L2Cache::drainParked()
     while (n-- > 0 && !parked_.empty()) {
         if (mshr_.full())
             break;
-        auto [line, waiter] = std::move(parked_.front());
+        Parked p = std::move(parked_.front());
         parked_.pop_front();
-        start(line, waiter.isWrite, std::move(waiter.done));
+        start(p.line, p.waiter.isWrite, std::move(p.waiter.done));
     }
 }
 

@@ -10,13 +10,13 @@
 #define NETCRAFTER_MEM_L2_CACHE_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "src/mem/dram.hh"
 #include "src/mem/mshr.hh"
 #include "src/mem/tag_array.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::mem {
 
@@ -38,7 +38,7 @@ struct L2Params
 class L2Cache : public sim::SimObject
 {
   public:
-    using Callback = std::function<void()>;
+    using Callback = sim::SmallFn;
 
     L2Cache(sim::Engine &engine, std::string name, const L2Params &params,
             Dram &dram);
@@ -63,8 +63,15 @@ class L2Cache : public sim::SimObject
   private:
     struct Waiter
     {
-        bool isWrite;
+        bool isWrite = false;
         Callback done;
+    };
+
+    /** An access waiting for a free MSHR entry. */
+    struct Parked
+    {
+        Addr line = 0;
+        Waiter waiter;
     };
 
     void start(Addr line, bool is_write, Callback done);
@@ -77,7 +84,7 @@ class L2Cache : public sim::SimObject
     Dram &dram_;
     Mshr<Waiter> mshr_;
     std::vector<Tick> bankNextFree_;
-    std::deque<std::pair<Addr, Waiter>> parked_;
+    sim::Ring<Parked> parked_;
 
     std::uint64_t accesses_ = 0;
     std::uint64_t hits_ = 0;

@@ -23,7 +23,9 @@ namespace netcrafter::mem {
  * The file is a flat table scanned linearly: MSHR files hold 32-64
  * entries, where a scan over a contiguous key array beats hashing.
  * Releasing an entry moves the last one into its slot; each entry's
- * waiters stay in merge order.
+ * waiters stay in merge order. Released waiter lists come back through
+ * recycle(), so allocation and merging reuse list storage instead of
+ * allocating per miss.
  */
 template <typename Payload>
 class Mshr
@@ -47,7 +49,12 @@ class Mshr
         NC_ASSERT(!outstanding(addr), "duplicate MSHR allocation");
         NC_ASSERT(!full(), "MSHR overflow");
         keys_.push_back(addr);
-        waiters_.emplace_back();
+        if (spare_.empty()) {
+            waiters_.emplace_back();
+        } else {
+            waiters_.push_back(std::move(spare_.back()));
+            spare_.pop_back();
+        }
         waiters_.back().push_back(std::move(payload));
         ++allocations_;
     }
@@ -62,7 +69,10 @@ class Mshr
         ++merges_;
     }
 
-    /** Retire the entry for @p addr, returning all waiting payloads. */
+    /**
+     * Retire the entry for @p addr, returning all waiting payloads.
+     * Hand the list back through recycle() once it has been drained.
+     */
     std::vector<Payload>
     release(Addr addr)
     {
@@ -76,6 +86,14 @@ class Mshr
         keys_.pop_back();
         waiters_.pop_back();
         return waiters;
+    }
+
+    /** Return a released waiter list's storage for reuse. */
+    void
+    recycle(std::vector<Payload> &&waiters)
+    {
+        waiters.clear();
+        spare_.push_back(std::move(waiters));
     }
 
     std::size_t size() const { return keys_.size(); }
@@ -101,6 +119,8 @@ class Mshr
     /** Outstanding block addresses; waiters_[i] belongs to keys_[i]. */
     std::vector<Addr> keys_;
     std::vector<std::vector<Payload>> waiters_;
+    /** Drained waiter lists kept for the next allocation. */
+    std::vector<std::vector<Payload>> spare_;
     std::uint64_t allocations_ = 0;
     std::uint64_t merges_ = 0;
 };

@@ -21,11 +21,20 @@ makeFlit(const Flit &other)
 std::vector<FlitPtr>
 segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes)
 {
+    std::vector<FlitPtr> flits;
+    segmentPacket(pkt, flit_bytes, flits);
+    return flits;
+}
+
+void
+segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes,
+              std::vector<FlitPtr> &flits)
+{
     NC_ASSERT(flit_bytes > 0, "flit size must be positive");
     const std::uint32_t total = pkt->totalBytes();
     const std::uint32_t n = flitsForBytes(total, flit_bytes);
 
-    std::vector<FlitPtr> flits;
+    flits.clear();
     flits.reserve(n);
     std::uint32_t remaining = total;
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -40,7 +49,6 @@ segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes)
         flits.push_back(std::move(flit));
     }
     NC_ASSERT(remaining == 0, "segmentation lost bytes");
-    return flits;
 }
 
 } // namespace netcrafter::noc

@@ -179,6 +179,11 @@ FlitPtr makeFlit(const Flit &other);
 std::vector<FlitPtr> segmentPacket(const PacketPtr &pkt,
                                    std::uint32_t flit_bytes);
 
+/** segmentPacket() into @p out, replacing its contents but keeping its
+ *  storage: the allocation-free form for the hot path. */
+void segmentPacket(const PacketPtr &pkt, std::uint32_t flit_bytes,
+                   std::vector<FlitPtr> &out);
+
 /** Number of flits @p total_bytes occupy at @p flit_bytes granularity. */
 constexpr std::uint32_t
 flitsForBytes(std::uint32_t total_bytes, std::uint32_t flit_bytes)

@@ -9,11 +9,11 @@
 #define NETCRAFTER_NOC_FLIT_BUFFER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 
 #include "src/noc/flit.hh"
 #include "src/sim/logging.hh"
+#include "src/sim/ring.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::noc {
 
@@ -64,10 +64,10 @@ class FlitBuffer
     }
 
     /** Hook invoked after every successful push. */
-    void setOnPush(std::function<void()> fn) { onPush_ = std::move(fn); }
+    void setOnPush(sim::SmallFn fn) { onPush_ = std::move(fn); }
 
     /** Hook invoked after every pop (space freed). */
-    void setOnPop(std::function<void()> fn) { onPop_ = std::move(fn); }
+    void setOnPop(sim::SmallFn fn) { onPop_ = std::move(fn); }
 
     /** Lifetime total of pushed flits. */
     std::uint64_t pushes() const { return pushes_; }
@@ -77,9 +77,9 @@ class FlitBuffer
 
   private:
     std::size_t capacity_;
-    std::deque<FlitPtr> q_;
-    std::function<void()> onPush_;
-    std::function<void()> onPop_;
+    sim::Ring<FlitPtr> q_;
+    sim::SmallFn onPush_;
+    sim::SmallFn onPop_;
     std::uint64_t pushes_ = 0;
     std::size_t maxOccupancy_ = 0;
 };

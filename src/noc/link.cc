@@ -3,9 +3,9 @@
 namespace netcrafter::noc {
 
 Link::Link(sim::Engine &engine, std::string name, FlitBuffer &source,
-           FlitBuffer &sink, std::uint32_t flits_per_cycle, Tick latency)
+           FlitBuffer &sink, std::uint32_t flits_per_cycle)
     : SimObject(engine, std::move(name)), source_(source), sink_(sink),
-      flitsPerCycle_(flits_per_cycle), latency_(latency),
+      flitsPerCycle_(flits_per_cycle),
       wake_(engine, this)
 {
     NC_ASSERT(flitsPerCycle_ > 0, "link needs positive bandwidth");
@@ -13,7 +13,6 @@ Link::Link(sim::Engine &engine, std::string name, FlitBuffer &source,
     // The sink's pop hook belongs to this link: freeing space may unstall
     // a transfer. The sink's push hook belongs to the sink's consumer.
     sink_.setOnPop([this] { notify(); });
-    (void)latency_;
 }
 
 void

@@ -9,6 +9,7 @@
 #define NETCRAFTER_NOC_LINK_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 
 #include "src/noc/flit_buffer.hh"
@@ -28,8 +29,7 @@ class Link : public sim::SimObject
 {
   public:
     Link(sim::Engine &engine, std::string name, FlitBuffer &source,
-         FlitBuffer &sink, std::uint32_t flits_per_cycle,
-         Tick latency = 1);
+         FlitBuffer &sink, std::uint32_t flits_per_cycle);
 
     /** Wake the link; schedules a transfer event if none is pending. */
     void notify();
@@ -76,7 +76,6 @@ class Link : public sim::SimObject
     FlitBuffer &source_;
     FlitBuffer &sink_;
     std::uint32_t flitsPerCycle_;
-    Tick latency_;
     sim::SelfScheduling<Link, &Link::transfer> wake_;
 
     std::function<void(const Flit &)> observer_;

@@ -153,6 +153,14 @@ struct Packet : sim::PoolRefCount
      */
     bool latencyCritical = false;
 
+    /**
+     * Requester-side bookkeeping slot: a request carries the index of
+     * its entry in the requester's outstanding table and the response
+     * echoes it back. Simulator metadata, not a wire field; declared
+     * here so it fills alignment padding.
+     */
+    std::uint32_t reqSlot = 0;
+
     /** For responses: the id of the request packet being answered. */
     std::uint64_t reqId = 0;
 

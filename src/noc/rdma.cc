@@ -31,8 +31,10 @@ RdmaEngine::sendPacket(PacketPtr pkt)
                     obs::TraceKind::PktStage, obs::TraceStage::RdmaInject,
                     traceLane_, pkt->id, pkt->totalBytes(),
                     static_cast<std::uint32_t>(pkt->type));
-    for (auto &flit : segmentPacket(pkt, flitBytes_))
+    segmentPacket(pkt, flitBytes_, segmented_);
+    for (auto &flit : segmented_)
         sendQueue_.push_back(std::move(flit));
+    segmented_.clear();
     txWake_.notify();
 }
 
@@ -64,7 +66,7 @@ RdmaEngine::pumpRx()
         NC_ASSERT(got <= pkt->totalBytes(), "reassembly overflow for ",
                   pkt->toString());
         if (got == pkt->totalBytes()) {
-            reassembly_.erase(pkt->id);
+            reassembly_.take(pkt->id); // invalidates got
             ++packetsReceived_;
             obs::tracepoint(engine(), obs::TraceLevel::Packets,
                             obs::TraceKind::PktStage,

@@ -9,13 +9,14 @@
 #define NETCRAFTER_NOC_RDMA_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "src/noc/flit_buffer.hh"
+#include "src/sim/flat_map.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::noc {
 
@@ -32,7 +33,7 @@ namespace netcrafter::noc {
 class RdmaEngine : public sim::SimObject
 {
   public:
-    using PacketHandler = std::function<void(PacketPtr)>;
+    using PacketHandler = sim::InlineFn<void(PacketPtr)>;
 
     RdmaEngine(sim::Engine &engine, std::string name, GpuId gpu,
                std::uint32_t flit_bytes, std::size_t buffer_entries);
@@ -86,12 +87,15 @@ class RdmaEngine : public sim::SimObject
     PacketHandler responseHandler_;
 
     /** Flits of queued packets awaiting TX buffer space, in order. */
-    std::deque<FlitPtr> sendQueue_;
+    sim::Ring<FlitPtr> sendQueue_;
+
+    /** Scratch: the flits of the packet being queued. */
+    std::vector<FlitPtr> segmented_;
     sim::SelfScheduling<RdmaEngine, &RdmaEngine::pumpTx> txWake_;
     sim::SelfScheduling<RdmaEngine, &RdmaEngine::pumpRx> rxWake_;
 
     /** packet id -> bytes received so far, for reassembly. */
-    std::unordered_map<std::uint64_t, std::uint32_t> reassembly_;
+    sim::FlatMap<std::uint32_t> reassembly_;
 
     std::uint64_t packetsSent_ = 0;
     std::uint64_t packetsReceived_ = 0;

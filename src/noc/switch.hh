@@ -16,11 +16,11 @@
 #define NETCRAFTER_NOC_SWITCH_HH
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
 #include "src/noc/flit_buffer.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/self_scheduling.hh"
 #include "src/sim/sim_object.hh"
 
@@ -110,7 +110,7 @@ class Switch : public sim::SimObject
     struct PipelineEntry
     {
         FlitPtr flit;
-        Tick readyAt;
+        Tick readyAt = 0;
     };
 
     struct Port
@@ -118,7 +118,7 @@ class Switch : public sim::SimObject
         std::uint32_t speed = 1;
         std::unique_ptr<FlitBuffer> in;
         std::unique_ptr<FlitBuffer> out;
-        std::deque<PipelineEntry> pipeline;
+        sim::Ring<PipelineEntry> pipeline;
         IngressProcessor *ingress = nullptr;
         EgressProcessor *egress = nullptr;
 

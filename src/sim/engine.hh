@@ -243,11 +243,13 @@ class Engine
         void
         process() override
         {
-            // Release before invoking: the callback may schedule new
-            // one-shot events and should be able to reuse this node.
-            EventFn local = std::move(fn);
+            // Invoke in place, then recycle: moving the callable out
+            // first would cost a relocation per event. The node is
+            // neither queued nor free while the callback runs, so the
+            // callback's own one-shots take other nodes.
+            fn();
+            fn.reset();
             owner->releaseCallback(this);
-            local();
         }
 
         EventFn fn;

@@ -79,6 +79,8 @@ class Event
 
     Tick when_ = 0;
     std::uint64_t seq_ = 0;
+    /** Next event in the same wheel bucket (intrusive FIFO link). */
+    Event *next_ = nullptr;
     std::uint8_t phase_ = kPhaseDefault;
     bool scheduled_ = false;
 };

@@ -5,12 +5,15 @@
  * events.
  *
  * Almost every event a cycle-level model schedules lands within a few
- * cycles of "now" (links and switches wake at now+1, cache lookups a
- * handful of cycles out), so the wheel covers the next kWheelSlots
- * ticks with O(1) push/pop FIFO buckets and a 64-bit occupancy bitmap.
- * Rare long-delay events (DRAM latency, switch pipeline wakeups beyond
- * the horizon) overflow into a comparison-ordered heap and migrate
- * into the wheel as its base advances.
+ * hundred cycles of "now": links and switches wake at now+1, cache
+ * lookups a handful of cycles out, the 30-cycle switch pipeline and the
+ * 100-cycle L2 lookup and DRAM latencies a little further. The wheel
+ * covers the next kWheelSlots ticks with O(1) push/pop FIFO buckets
+ * and a 256-bit occupancy bitmap. Buckets are intrusive singly linked
+ * lists threaded through the events themselves, so the wheel owns no
+ * heap storage and scheduling never allocates. Rare long-delay events
+ * (beyond the horizon) overflow into a comparison-ordered heap and
+ * migrate into the wheel as its base advances.
  *
  * Ordering contract: events pop in ascending (tick, phase,
  * schedule-sequence) order — same-tick same-phase events fire in exact
@@ -52,8 +55,8 @@ namespace netcrafter::sim {
 class EventQueue
 {
   public:
-    /** Wheel horizon in ticks; must be a power of two. */
-    static constexpr std::size_t kWheelSlots = 64;
+    /** Wheel horizon in ticks; a power of two and a multiple of 64. */
+    static constexpr std::size_t kWheelSlots = 256;
 
     EventQueue() = default;
 
@@ -112,13 +115,11 @@ class EventQueue
         if (tick != base_)
             advanceTo(tick);
 
-        Slot &slot = slots_[slotOf(tick)];
-        Event *ev;
-        if (slot.wireHead < slot.wire.size())
-            ev = slot.wire[slot.wireHead++];
-        else
-            ev = slot.q[slot.head++];
-        resetIfDrained(slotOf(tick));
+        const std::size_t s = slotOf(tick);
+        Slot &slot = slots_[s];
+        Event *ev = slot.wire.head != nullptr ? slot.wire.popFront()
+                                               : slot.q.popFront();
+        clearIfDrained(s);
         --wheelCount_;
         --count_;
         ev->scheduled_ = false;
@@ -135,14 +136,12 @@ class EventQueue
     {
         NC_ASSERT(ev.scheduled_, "deschedule of an unscheduled event");
         if (ev.when_ - base_ < kWheelSlots) {
-            Slot &slot = slots_[slotOf(ev.when_)];
-            auto &bucket = ev.phase_ == kPhaseWire ? slot.wire : slot.q;
-            const std::size_t head =
-                ev.phase_ == kPhaseWire ? slot.wireHead : slot.head;
-            auto it = std::find(bucket.begin() + head, bucket.end(), &ev);
-            NC_ASSERT(it != bucket.end(), "scheduled event not queued");
-            bucket.erase(it);
-            resetIfDrained(slotOf(ev.when_));
+            const std::size_t s = slotOf(ev.when_);
+            Slot &slot = slots_[s];
+            List &list = ev.phase_ == kPhaseWire ? slot.wire : slot.q;
+            const bool queued = list.unlink(&ev);
+            NC_ASSERT(queued, "scheduled event not queued");
+            clearIfDrained(s);
             --wheelCount_;
         } else {
             auto it = std::find(heap_.begin(), heap_.end(), &ev);
@@ -161,21 +160,19 @@ class EventQueue
     void
     clear()
     {
-        for (auto &slot : slots_) {
-            for (std::size_t i = slot.wireHead; i < slot.wire.size();
-                 ++i)
-                slot.wire[i]->scheduled_ = false;
-            slot.wire.clear();
-            slot.wireHead = 0;
-            for (std::size_t i = slot.head; i < slot.q.size(); ++i)
-                slot.q[i]->scheduled_ = false;
-            slot.q.clear();
-            slot.head = 0;
+        for (std::size_t w = 0; w < kWords; ++w) {
+            for (std::uint64_t bits = occupied_[w]; bits != 0;
+                 bits &= bits - 1) {
+                Slot &slot = slots_[w * 64 + static_cast<std::size_t>(
+                                                 std::countr_zero(bits))];
+                slot.wire.unscheduleAll();
+                slot.q.unscheduleAll();
+            }
+            occupied_[w] = 0;
         }
         for (Event *ev : heap_)
             ev->scheduled_ = false;
         heap_.clear();
-        occupied_ = 0;
         wheelCount_ = 0;
         count_ = 0;
         nextSeq_ = 0;
@@ -189,14 +186,72 @@ class EventQueue
     std::uint64_t farScheduled() const { return farScheduled_; }
 
   private:
+    static_assert(kWheelSlots % 64 == 0 &&
+                      (kWheelSlots & (kWheelSlots - 1)) == 0,
+                  "wheel horizon must be a power-of-two multiple of 64");
+
+    /** Occupancy bitmap words. */
+    static constexpr std::size_t kWords = kWheelSlots / 64;
+
+    /** Intrusive FIFO of events threaded through Event::next_. */
+    struct List
+    {
+        Event *head = nullptr;
+        Event *tail = nullptr;
+
+        void
+        pushBack(Event *ev)
+        {
+            ev->next_ = nullptr;
+            if (tail != nullptr)
+                tail->next_ = ev;
+            else
+                head = ev;
+            tail = ev;
+        }
+
+        Event *
+        popFront()
+        {
+            Event *ev = head;
+            head = ev->next_;
+            if (head == nullptr)
+                tail = nullptr;
+            return ev;
+        }
+
+        /** Unlink @p ev; false when it is not in this list. */
+        bool
+        unlink(Event *ev)
+        {
+            Event *prev = nullptr;
+            for (Event *cur = head; cur != nullptr; cur = cur->next_) {
+                if (cur != ev) {
+                    prev = cur;
+                    continue;
+                }
+                (prev != nullptr ? prev->next_ : head) = cur->next_;
+                if (tail == cur)
+                    tail = prev;
+                return true;
+            }
+            return false;
+        }
+
+        void
+        unscheduleAll()
+        {
+            while (head != nullptr)
+                popFront()->scheduled_ = false;
+        }
+    };
+
     struct Slot
     {
         /** Wire-phase FIFO bucket, drained before q (see event.hh). */
-        std::vector<Event *> wire;
-        std::size_t wireHead = 0;
-        /** Default-phase FIFO bucket: push_back appends, head fronts. */
-        std::vector<Event *> q;
-        std::size_t head = 0;
+        List wire;
+        /** Default-phase FIFO bucket. */
+        List q;
     };
 
     static std::size_t
@@ -210,43 +265,54 @@ class EventQueue
     {
         const std::size_t s = slotOf(ev->when_);
         if (ev->phase_ == kPhaseWire)
-            slots_[s].wire.push_back(ev);
+            slots_[s].wire.pushBack(ev);
         else
-            slots_[s].q.push_back(ev);
-        occupied_ |= std::uint64_t{1} << s;
+            slots_[s].q.pushBack(ev);
+        occupied_[s / 64] |= std::uint64_t{1} << (s % 64);
         ++wheelCount_;
     }
 
-    /** Recycle slot @p s and clear its occupancy bit once drained. */
+    /** Clear slot @p s's occupancy bit once both buckets drained. */
     void
-    resetIfDrained(std::size_t s)
+    clearIfDrained(std::size_t s)
     {
-        Slot &slot = slots_[s];
-        if (slot.wireHead != slot.wire.size() || slot.head != slot.q.size())
-            return;
-        slot.wire.clear();
-        slot.wireHead = 0;
-        slot.q.clear();
-        slot.head = 0;
-        occupied_ &= ~(std::uint64_t{1} << s);
+        const Slot &slot = slots_[s];
+        if (slot.wire.head == nullptr && slot.q.head == nullptr)
+            occupied_[s / 64] &= ~(std::uint64_t{1} << (s % 64));
     }
 
-    /** Offset from base_ of the earliest occupied slot. */
+    /**
+     * Offset from base_ of the earliest occupied slot. Requires at
+     * least one occupied slot. Scans the bitmap words starting at
+     * base_'s slot and wrapping around the wheel.
+     */
     std::size_t
     firstOccupiedOffset() const
     {
-        // Rotate the bitmap so base_'s slot is bit 0; the lowest set
-        // bit is then the distance to the earliest pending tick.
-        const std::uint64_t rotated =
-            std::rotr(occupied_, static_cast<int>(slotOf(base_)));
-        return static_cast<std::size_t>(std::countr_zero(rotated));
+        const std::size_t start = slotOf(base_);
+        const std::size_t w0 = start / 64;
+        const unsigned bit = static_cast<unsigned>(start % 64);
+        // Bits at or after base_'s slot within its own word.
+        const std::uint64_t head = occupied_[w0] >> bit;
+        if (head != 0)
+            return static_cast<std::size_t>(std::countr_zero(head));
+        for (std::size_t i = 1; i <= kWords; ++i) {
+            const std::size_t w = (w0 + i) % kWords;
+            if (occupied_[w] != 0) {
+                const std::size_t s =
+                    w * 64 +
+                    static_cast<std::size_t>(std::countr_zero(occupied_[w]));
+                return (s - start) & (kWheelSlots - 1);
+            }
+        }
+        NC_PANIC("event wheel occupancy lost");
     }
 
     /**
      * Advance the wheel base to @p tick (the next tick to drain) and
      * migrate far-future events that entered the extended horizon.
      * Newly covered ticks had empty buckets, and the heap pops in
-     * (tick, seq) order, so per-bucket FIFO order stays exact.
+     * (tick, phase, seq) order, so per-bucket FIFO order stays exact.
      */
     void
     advanceTo(Tick tick)
@@ -306,7 +372,7 @@ class EventQueue
     }
 
     Slot slots_[kWheelSlots];
-    std::uint64_t occupied_ = 0;
+    std::uint64_t occupied_[kWords] = {};
     Tick base_ = 0;
     std::size_t wheelCount_ = 0;
 

@@ -93,6 +93,11 @@ class ObjectPool
      */
     ~ObjectPool()
     {
+        // Free nodes keep container capacity for their next use (see
+        // resetForReuse()); nothing reuses them after this pool dies, so
+        // hand that storage back instead of parking it in the vault.
+        for (T *obj : free_)
+            *obj = T{};
         if (slabs_.empty())
             return;
         std::lock_guard<std::mutex> lock(vaultMutex());

@@ -1,16 +1,18 @@
 /**
  * @file
- * SmallFn: a move-only callable wrapper with a generous inline buffer,
- * used as the engine's event-callback type. Unlike std::function, any
- * capture up to kInlineBytes is stored inline regardless of trivial
- * copyability, so steady-state event scheduling never touches the heap
- * (std::function's small-object optimization only applies to trivially
- * copyable captures of at most two words, which excludes lambdas that
- * capture a pooled pointer or a completion callback).
+ * InlineFn / SmallFn: move-only callable wrappers with a generous inline
+ * buffer, used as the engine's event-callback type and as the
+ * completion type on the memory, translation and network request paths.
+ * Unlike std::function, any capture up to kInlineBytes is stored inline
+ * regardless of trivial copyability, so steady-state event scheduling
+ * and request completion never touch the heap (std::function's
+ * small-object optimization only applies to trivially copyable captures
+ * of at most two words, which excludes lambdas that capture a pooled
+ * pointer or a completion callback).
  *
  * Oversized callables still work — they fall back to a heap allocation
- * and bump a thread-local counter so the fallback rate is observable in
- * stats (engine.callbackHeapFallbacks).
+ * and bump a thread-local counter shared by every signature, so the
+ * fallback rate is observable in stats (sim.smallFnHeapAllocs).
  */
 
 #ifndef NETCRAFTER_SIM_SMALL_FN_HH
@@ -31,23 +33,28 @@ inline thread_local std::uint64_t smallFnHeapAllocs = 0;
 
 } // namespace detail
 
-/** Move-only `void()` callable with a 64-byte inline buffer. */
-class SmallFn
+template <typename Sig> class InlineFn;
+
+/** Move-only `R(Args...)` callable with a 64-byte inline buffer. */
+template <typename R, typename... Args>
+class InlineFn<R(Args...)>
 {
   public:
     /** Captures up to this size are stored inline (no allocation). */
     static constexpr std::size_t kInlineBytes = 64;
 
-    SmallFn() = default;
+    InlineFn() = default;
+    InlineFn(std::nullptr_t) {}
 
     template <typename F,
               typename = std::enable_if_t<
-                  !std::is_same_v<std::decay_t<F>, SmallFn>>>
-    SmallFn(F &&f) // NOLINT: implicit by design, mirrors std::function
+                  !std::is_same_v<std::decay_t<F>, InlineFn> &&
+                  !std::is_same_v<std::decay_t<F>, std::nullptr_t>>>
+    InlineFn(F &&f) // NOLINT: implicit by design, mirrors std::function
     {
         using Fn = std::decay_t<F>;
-        static_assert(std::is_invocable_r_v<void, Fn &>,
-                      "SmallFn requires a void() callable");
+        static_assert(std::is_invocable_r_v<R, Fn &, Args...>,
+                      "InlineFn: callable does not match the signature");
         if constexpr (sizeof(Fn) <= kInlineBytes &&
                       alignof(Fn) <= alignof(std::max_align_t)) {
             ::new (static_cast<void *>(buf_)) Fn(std::forward<F>(f));
@@ -60,10 +67,10 @@ class SmallFn
         }
     }
 
-    SmallFn(SmallFn &&other) noexcept { moveFrom(other); }
+    InlineFn(InlineFn &&other) noexcept { moveFrom(other); }
 
-    SmallFn &
-    operator=(SmallFn &&other) noexcept
+    InlineFn &
+    operator=(InlineFn &&other) noexcept
     {
         if (this != &other) {
             reset();
@@ -72,16 +79,26 @@ class SmallFn
         return *this;
     }
 
-    SmallFn(const SmallFn &) = delete;
-    SmallFn &operator=(const SmallFn &) = delete;
+    InlineFn(const InlineFn &) = delete;
+    InlineFn &operator=(const InlineFn &) = delete;
 
-    ~SmallFn() { reset(); }
+    ~InlineFn() { reset(); }
 
-    /** Invoke the stored callable. Requires a non-empty SmallFn. */
-    void operator()() { ops_->invoke(buf_); }
+    /** Invoke the stored callable. Requires a non-empty InlineFn. */
+    R
+    operator()(Args... args)
+    {
+        return ops_->invoke(buf_, std::forward<Args>(args)...);
+    }
 
     /** True when a callable is stored. */
     explicit operator bool() const { return ops_ != nullptr; }
+
+    friend bool
+    operator==(const InlineFn &fn, std::nullptr_t)
+    {
+        return fn.ops_ == nullptr;
+    }
 
     /** Destroy the stored callable (no-op when empty). */
     void
@@ -93,7 +110,8 @@ class SmallFn
         }
     }
 
-    /** Lifetime count of this thread's heap-fallback constructions. */
+    /** Lifetime count of this thread's heap-fallback constructions,
+     *  over every InlineFn signature. */
     static std::uint64_t
     heapAllocations()
     {
@@ -103,7 +121,7 @@ class SmallFn
   private:
     struct Ops
     {
-        void (*invoke)(void *);
+        R (*invoke)(void *, Args &&...);
         /** Move-construct dst from src, then destroy src. */
         void (*relocate)(void *dst, void *src);
         void (*destroy)(void *);
@@ -117,7 +135,11 @@ class SmallFn
         {
             return std::launder(reinterpret_cast<Fn *>(p));
         }
-        static void invoke(void *p) { (*at(p))(); }
+        static R
+        invoke(void *p, Args &&...args)
+        {
+            return (*at(p))(std::forward<Args>(args)...);
+        }
         static void
         relocate(void *dst, void *src)
         {
@@ -136,7 +158,11 @@ class SmallFn
         {
             return *std::launder(reinterpret_cast<Fn **>(p));
         }
-        static void invoke(void *p) { (*slot(p))(); }
+        static R
+        invoke(void *p, Args &&...args)
+        {
+            return (*slot(p))(std::forward<Args>(args)...);
+        }
         static void
         relocate(void *dst, void *src)
         {
@@ -147,7 +173,7 @@ class SmallFn
     };
 
     void
-    moveFrom(SmallFn &other) noexcept
+    moveFrom(InlineFn &other) noexcept
     {
         if (other.ops_ != nullptr) {
             ops_ = other.ops_;
@@ -159,6 +185,9 @@ class SmallFn
     const Ops *ops_ = nullptr;
     alignas(std::max_align_t) unsigned char buf_[kInlineBytes];
 };
+
+/** Move-only `void()` callable: the engine's one-shot callback type. */
+using SmallFn = InlineFn<void()>;
 
 /** Callback type executed when a one-shot event fires. */
 using EventFn = SmallFn;

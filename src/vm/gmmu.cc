@@ -5,18 +5,25 @@
 
 namespace netcrafter::vm {
 
+PageWalkCache::Entry *
+PageWalkCache::find(Addr k)
+{
+    for (Entry &e : lines_) {
+        if (e.key == k)
+            return &e;
+    }
+    return nullptr;
+}
+
 int
 PageWalkCache::deepestMatch(Addr vaddr)
 {
     ++lookups_;
     for (int level = kPageTableLevels - 1; level >= 1; --level) {
-        auto it = map_.find(key(level, vaddr));
-        if (it != map_.end()) {
+        if (Entry *e = find(key(level, vaddr))) {
             ++hits_;
             // Refresh recency: a matching entry is hot.
-            lru_.erase(it->second);
-            lru_.push_front(it->first);
-            it->second = lru_.begin();
+            e->lastUse = ++useClock_;
             return level;
         }
     }
@@ -27,19 +34,22 @@ void
 PageWalkCache::insert(int level, Addr vaddr)
 {
     const Addr k = key(level, vaddr);
-    auto it = map_.find(k);
-    if (it != map_.end()) {
-        lru_.erase(it->second);
-        lru_.push_front(k);
-        it->second = lru_.begin();
+    if (Entry *e = find(k)) {
+        e->lastUse = ++useClock_;
         return;
     }
-    if (map_.size() >= entries_) {
-        map_.erase(lru_.back());
-        lru_.pop_back();
+    if (lines_.size() < entries_) {
+        lines_.push_back(Entry{k, ++useClock_});
+        return;
     }
-    lru_.push_front(k);
-    map_[k] = lru_.begin();
+    if (lines_.empty())
+        return;
+    Entry *victim = &lines_.front();
+    for (Entry &e : lines_) {
+        if (e.lastUse < victim->lastUse)
+            victim = &e;
+    }
+    *victim = Entry{k, ++useClock_};
 }
 
 Gmmu::Gmmu(sim::Engine &engine, std::string name,
@@ -56,12 +66,8 @@ Gmmu::Gmmu(sim::Engine &engine, std::string name,
 void
 Gmmu::walk(Addr vpn, Callback done)
 {
-    auto it = waiters_.find(vpn);
-    if (it != waiters_.end()) {
-        it->second.push_back(std::move(done));
+    if (!waiters_.add(vpn, std::move(done)))
         return;
-    }
-    waiters_[vpn].push_back(std::move(done));
     queued_.push_back(vpn);
     ++walksStarted_;
     obs::tracepoint(engine(), obs::TraceLevel::Links,
@@ -113,14 +119,14 @@ Gmmu::finishWalk(Addr vpn)
                     traceLane_, vpn);
     Translation t;
     t.owner = pageTable_.dataOwner(vpn * kPageBytes);
-    auto it = waiters_.find(vpn);
-    NC_ASSERT(it != waiters_.end(), "walk finished with no waiters");
-    auto waiters = std::move(it->second);
-    waiters_.erase(it);
+    auto waiters = waiters_.take(vpn);
+    NC_ASSERT(!waiters.empty(), "walk finished with no waiters");
     NC_ASSERT(activeWalkers_ > 0, "walker underflow");
     --activeWalkers_;
-    for (auto &done : waiters)
+    while (!waiters.empty()) {
+        Callback done = waiters_.pop(waiters);
         done(t);
+    }
     beginNextWalk();
 }
 

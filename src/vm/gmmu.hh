@@ -12,12 +12,12 @@
 #define NETCRAFTER_VM_GMMU_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
+#include "src/sim/flat_map.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 #include "src/vm/page_table.hh"
 #include "src/vm/tlb.hh"
 
@@ -59,10 +59,20 @@ class PageWalkCache
                PageTable::prefix(level, vaddr);
     }
 
+    struct Entry
+    {
+        Addr key;
+        /** Recency stamp; the smallest is the LRU victim. */
+        std::uint64_t lastUse;
+    };
+
+    /** The entry holding @p k, or nullptr. */
+    Entry *find(Addr k);
+
     std::uint32_t entries_;
-    // LRU list front = most recent; map for O(1) lookup.
-    std::list<Addr> lru_;
-    std::unordered_map<Addr, std::list<Addr>::iterator> map_;
+    /** At most entries_ entries, scanned linearly (the PWC is tiny). */
+    std::vector<Entry> lines_;
+    std::uint64_t useClock_ = 0;
     mutable std::uint64_t hits_ = 0;
     mutable std::uint64_t lookups_ = 0;
 };
@@ -71,7 +81,7 @@ class PageWalkCache
 class Gmmu : public sim::SimObject
 {
   public:
-    using Callback = std::function<void(Translation)>;
+    using Callback = sim::InlineFn<void(Translation)>;
 
     /**
      * Fetches one PTE (a memory read of the line holding it) and calls
@@ -79,7 +89,7 @@ class Gmmu : public sim::SimObject
      * concern.
      */
     using PteFetchFn =
-        std::function<void(const WalkStep &, std::function<void()>)>;
+        sim::InlineFn<void(const WalkStep &, sim::SmallFn)>;
 
     Gmmu(sim::Engine &engine, std::string name, const GmmuParams &params,
          const PageTable &page_table, PteFetchFn fetch);
@@ -113,8 +123,8 @@ class Gmmu : public sim::SimObject
     PteFetchFn fetch_;
     PageWalkCache pwc_;
 
-    std::unordered_map<Addr, std::vector<Callback>> waiters_;
-    std::deque<Addr> queued_;
+    sim::WaitLists<Callback> waiters_;
+    sim::Ring<Addr> queued_;
     std::uint32_t activeWalkers_ = 0;
 
     std::uint64_t walksStarted_ = 0;

@@ -13,9 +13,10 @@
 #ifndef NETCRAFTER_VM_PAGE_TABLE_HH
 #define NETCRAFTER_VM_PAGE_TABLE_HH
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 
+#include "src/sim/flat_map.hh"
 #include "src/sim/types.hh"
 
 namespace netcrafter::vm {
@@ -74,18 +75,29 @@ class PageTable
     }
 
     /** Number of placed pages. */
-    std::size_t placedPages() const { return pageOwner_.size(); }
+    std::size_t placedPages() const { return placedPages_; }
 
     std::uint32_t numGpus() const { return numGpus_; }
 
   private:
     std::uint32_t numGpus_;
 
-    /** virtual page number -> owner GPU. */
-    std::unordered_map<Addr, GpuId> pageOwner_;
+    /** Pages per owner chunk: placement fills whole buffers, so
+     *  consecutive pages share a chunk. */
+    static constexpr Addr kChunkPages = 64;
+
+    /** Owners of kChunkPages consecutive pages; kGpuInvalid = unplaced. */
+    using OwnerChunk = std::array<GpuId, kChunkPages>;
+
+    /** Owner of virtual page @p vpn, or kGpuInvalid when unplaced. */
+    GpuId pageOwner(Addr vpn) const;
+
+    /** vpn / kChunkPages -> owners of that chunk's pages. */
+    sim::FlatMap<OwnerChunk> pageOwner_;
+    std::size_t placedPages_ = 0;
 
     /** 2MB-region index -> owner GPU of its leaf PTE page. */
-    std::unordered_map<Addr, GpuId> ptePageOwner_;
+    sim::FlatMap<GpuId> ptePageOwner_;
 };
 
 } // namespace netcrafter::vm

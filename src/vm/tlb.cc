@@ -60,9 +60,8 @@ Tlb::access(Addr vpn, Callback done)
     if (Way *way = findWay(vpn)) {
         ++hits_;
         way->lastUse = ++useClock_;
-        Translation t = way->t;
-        schedule(params_.lookupLatency,
-                 [done = std::move(done), t] { done(t); });
+        pendingHits_.push_back(Hit{std::move(done), way->t});
+        schedule(params_.lookupLatency, [this] { completeHit(); });
         return;
     }
 
@@ -70,9 +69,7 @@ Tlb::access(Addr vpn, Callback done)
     obs::tracepoint(engine(), obs::TraceLevel::Full,
                     obs::TraceKind::PktStage, obs::TraceStage::TlbMiss,
                     traceLane_, vpn);
-    auto [it, primary] = pendingByVpn_.try_emplace(vpn);
-    it->second.push_back(std::move(done));
-    if (!primary)
+    if (!pendingByVpn_.add(vpn, std::move(done)))
         return; // merged onto the outstanding miss
 
     if (activeBelow_ < params_.mshrEntries) {
@@ -86,6 +83,14 @@ Tlb::access(Addr vpn, Callback done)
 }
 
 void
+Tlb::completeHit()
+{
+    Hit hit = std::move(pendingHits_.front());
+    pendingHits_.pop_front();
+    hit.done(hit.t);
+}
+
+void
 Tlb::startMiss(Addr vpn)
 {
     missHandler_(vpn,
@@ -96,10 +101,8 @@ void
 Tlb::finishMiss(Addr vpn, Translation t)
 {
     insert(vpn, t);
-    auto it = pendingByVpn_.find(vpn);
-    NC_ASSERT(it != pendingByVpn_.end(), "miss finished with no waiters");
-    auto waiters = std::move(it->second);
-    pendingByVpn_.erase(it);
+    auto waiters = pendingByVpn_.take(vpn);
+    NC_ASSERT(!waiters.empty(), "miss finished with no waiters");
 
     NC_ASSERT(activeBelow_ > 0, "TLB MSHR underflow");
     --activeBelow_;
@@ -110,8 +113,10 @@ Tlb::finishMiss(Addr vpn, Translation t)
         schedule(1, [this, next] { startMiss(next); });
     }
 
-    for (auto &done : waiters)
+    while (!waiters.empty()) {
+        Callback done = pendingByVpn_.pop(waiters);
         done(t);
+    }
 }
 
 void

@@ -10,12 +10,12 @@
 #define NETCRAFTER_VM_TLB_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "src/sim/flat_map.hh"
+#include "src/sim/ring.hh"
 #include "src/sim/sim_object.hh"
+#include "src/sim/small_fn.hh"
 
 namespace netcrafter::vm {
 
@@ -46,10 +46,10 @@ struct TlbParams
 class Tlb : public sim::SimObject
 {
   public:
-    using Callback = std::function<void(Translation)>;
+    using Callback = sim::InlineFn<void(Translation)>;
 
     /** Miss handler: resolve @p vpn, calling the callback when done. */
-    using MissHandler = std::function<void(Addr vpn, Callback done)>;
+    using MissHandler = sim::InlineFn<void(Addr vpn, Callback done)>;
 
     Tlb(sim::Engine &engine, std::string name, const TlbParams &params,
         MissHandler miss_handler);
@@ -79,9 +79,17 @@ class Tlb : public sim::SimObject
         std::uint64_t lastUse = 0;
     };
 
+    /** A hit waiting out the lookup latency. */
+    struct Hit
+    {
+        Callback done;
+        Translation t;
+    };
+
     std::uint32_t setOf(Addr vpn) const;
     Way *findWay(Addr vpn);
     const Way *findWay(Addr vpn) const;
+    void completeHit();
     void startMiss(Addr vpn);
     void finishMiss(Addr vpn, Translation t);
 
@@ -91,11 +99,18 @@ class Tlb : public sim::SimObject
     std::vector<Way> ways_;
     std::uint64_t useClock_ = 0;
 
+    /**
+     * Hits in lookup order. Every hit completes exactly lookupLatency
+     * after it was looked up, so hit events fire in this order and each
+     * pops the front.
+     */
+    sim::Ring<Hit> pendingHits_;
+
     /** vpn -> callbacks waiting for that translation (merged misses). */
-    std::unordered_map<Addr, std::vector<Callback>> pendingByVpn_;
+    sim::WaitLists<Callback> pendingByVpn_;
 
     /** Primary misses waiting for one of the mshrEntries slots. */
-    std::deque<Addr> queuedMisses_;
+    sim::Ring<Addr> queuedMisses_;
     std::size_t activeBelow_ = 0;
 
     std::uint64_t accesses_ = 0;

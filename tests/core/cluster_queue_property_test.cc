@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <map>
 
 #include "src/core/cluster_queue.hh"

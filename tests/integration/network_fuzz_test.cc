@@ -29,6 +29,15 @@ struct FuzzCase
     std::uint32_t flitBytes;
 };
 
+// Without this gtest prints the raw bytes of the struct, whose name
+// pointer moves with address-space randomisation, so every listing
+// would name the tests differently.
+void
+PrintTo(const FuzzCase &fc, std::ostream *os)
+{
+    *os << fc.name;
+}
+
 class NetworkFuzz : public ::testing::TestWithParam<FuzzCase>
 {
 };

@@ -1,14 +1,16 @@
 /**
  * @file
- * Property test: the event queue agrees with a reference model
- * (std::multimap ordered by (tick, insertion sequence)) on delivery
- * order under randomized workloads.
+ * Property tests: the event queue agrees with reference models ordered
+ * by (tick, insertion sequence), and by (tick, phase, sequence) once
+ * wire-phase events, deschedules and clears join the mix, under
+ * randomized workloads.
  */
 
 #include <gtest/gtest.h>
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <vector>
 
 #include "src/sim/event_queue.hh"
@@ -90,6 +92,98 @@ TEST(EventQueueProperty, ClearEmptiesEverything)
     EXPECT_EQ(q.size(), 0u);
     for (const auto &ev : storage)
         EXPECT_FALSE(ev->scheduled());
+}
+
+/** Reusable event recording its identity for the differential test. */
+class SlotEvent : public Event
+{
+  public:
+    void process() override {}
+    int id = 0;
+};
+
+TEST(EventQueueProperty, DifferentialAgainstTickPhaseSeqReference)
+{
+    constexpr Tick kSlots = EventQueue::kWheelSlots;
+    constexpr int kEvents = 256;
+    Pcg32 rng(1303);
+    for (int trial = 0; trial < 10; ++trial) {
+        EventQueue q;
+        std::vector<std::unique_ptr<SlotEvent>> events;
+        for (int i = 0; i < kEvents; ++i) {
+            events.push_back(std::make_unique<SlotEvent>());
+            events.back()->id = i;
+        }
+        // Reference: (tick, phase, seq) -> event id.
+        using Key = std::tuple<Tick, std::uint8_t, std::uint64_t>;
+        std::map<Key, int> reference;
+        std::vector<Key> keyOf(kEvents);
+        std::uint64_t seq = 0;
+        std::uint64_t scheduled = 0;
+        Tick drain_point = 0;
+
+        for (int op = 0; op < 20000; ++op) {
+            const double dice = rng.uniform();
+            if (dice < 0.55) {
+                SlotEvent *ev = events[rng.below(kEvents)].get();
+                if (ev->scheduled())
+                    continue;
+                // Delays cover several wheel revolutions, so both the
+                // wheel and the heap and the migration between them are
+                // exercised; a few far outliers sit in the heap long.
+                Tick delay = rng.below(4 * kSlots + 1);
+                if (rng.chance(0.01))
+                    delay = 100 * kSlots + rng.below(10 * kSlots);
+                const std::uint8_t phase =
+                    rng.chance(0.3) ? kPhaseWire : kPhaseDefault;
+                ev->setPhase(phase);
+                const Tick when = drain_point + delay;
+                q.schedule(*ev, when);
+                ++scheduled;
+                keyOf[ev->id] = Key{when, phase, seq++};
+                reference.emplace(keyOf[ev->id], ev->id);
+            } else if (dice < 0.9) {
+                if (reference.empty()) {
+                    ASSERT_TRUE(q.empty());
+                    continue;
+                }
+                ASSERT_EQ(q.nextTick(), std::get<0>(reference.begin()->first));
+                Event *ev = q.pop();
+                const auto it = reference.begin();
+                ASSERT_EQ(static_cast<SlotEvent *>(ev)->id, it->second);
+                ASSERT_EQ(ev->when(), std::get<0>(it->first));
+                ASSERT_FALSE(ev->scheduled());
+                drain_point = ev->when();
+                reference.erase(it);
+            } else if (dice < 0.995) {
+                SlotEvent *ev = events[rng.below(kEvents)].get();
+                if (!ev->scheduled())
+                    continue;
+                q.deschedule(*ev);
+                ASSERT_FALSE(ev->scheduled());
+                ASSERT_EQ(reference.erase(keyOf[ev->id]), 1u);
+            } else {
+                q.clear();
+                reference.clear();
+                for (const auto &ev : events)
+                    ASSERT_FALSE(ev->scheduled());
+                drain_point = 0;
+            }
+            ASSERT_EQ(q.size(), reference.size());
+            ASSERT_EQ(q.empty(), reference.empty());
+            ASSERT_EQ(q.nearScheduled() + q.farScheduled(), scheduled);
+        }
+        while (!reference.empty()) {
+            ASSERT_EQ(q.nextTick(), std::get<0>(reference.begin()->first));
+            ASSERT_EQ(static_cast<SlotEvent *>(q.pop())->id,
+                      reference.begin()->second);
+            reference.erase(reference.begin());
+        }
+        EXPECT_TRUE(q.empty());
+        // Both the wheel and the heap saw traffic.
+        EXPECT_GT(q.nearScheduled(), 0u);
+        EXPECT_GT(q.farScheduled(), 0u);
+    }
 }
 
 } // namespace

@@ -15,12 +15,12 @@ struct GmmuFixture : ::testing::Test
     sim::Engine engine;
     GmmuParams params;
     PageTable pt{4};
-    std::deque<std::pair<WalkStep, std::function<void()>>> fetches;
+    std::deque<std::pair<WalkStep, sim::SmallFn>> fetches;
 
     Gmmu::PteFetchFn
     fetcher()
     {
-        return [this](const WalkStep &s, std::function<void()> done) {
+        return [this](const WalkStep &s, sim::SmallFn done) {
             fetches.emplace_back(s, std::move(done));
         };
     }
