@@ -1,7 +1,6 @@
 #include "src/config/exec_config.hh"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "src/sim/logging.hh"
 
@@ -22,76 +21,13 @@ parseThreadsEnv(const char *text)
     return static_cast<unsigned>(v);
 }
 
-bool
-parseStealEnv(const char *text)
-{
-    if (std::strcmp(text, "1") == 0 || std::strcmp(text, "on") == 0 ||
-        std::strcmp(text, "true") == 0)
-        return true;
-    if (std::strcmp(text, "0") == 0 || std::strcmp(text, "off") == 0 ||
-        std::strcmp(text, "false") == 0)
-        return false;
-    NC_FATAL("NETCRAFTER_STEAL must be one of 0/1/on/off/true/false, "
-             "got '", text, "'");
-}
-
-std::uint32_t
-parseStealMinBacklogEnv(const char *text)
-{
-    char *end = nullptr;
-    const long v = std::strtol(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > (1L << 30)) {
-        NC_FATAL("NETCRAFTER_STEAL_MIN_BACKLOG must be a positive "
-                 "event-count floor, got '", text, "'");
-    }
-    return static_cast<std::uint32_t>(v);
-}
-
 sim::ExecPolicy
 execPolicyFromEnv()
 {
     sim::ExecPolicy exec;
     if (const char *env = std::getenv("NETCRAFTER_THREADS"))
         exec.threads = parseThreadsEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_STEAL"))
-        exec.steal = parseStealEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_STEAL_MIN_BACKLOG"))
-        exec.stealMinBacklog = parseStealMinBacklogEnv(env);
     return exec;
-}
-
-sim::SyncMode
-parseSyncModeEnv(const char *text)
-{
-    if (std::strcmp(text, "strict") == 0)
-        return sim::SyncMode::Strict;
-    if (std::strcmp(text, "relaxed") == 0)
-        return sim::SyncMode::Relaxed;
-    NC_FATAL("NETCRAFTER_SYNC must be 'strict' or 'relaxed', got '",
-             text, "'");
-}
-
-Tick
-parseSkewBoundEnv(const char *text)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 0 || v > (1LL << 40)) {
-        NC_FATAL("NETCRAFTER_SKEW_BOUND must be a non-negative tick "
-                 "bound (0 = strict windows), got '", text, "'");
-    }
-    return static_cast<Tick>(v);
-}
-
-sim::SyncPolicy
-syncPolicyFromEnv()
-{
-    sim::SyncPolicy sync;
-    if (const char *env = std::getenv("NETCRAFTER_SYNC"))
-        sync.mode = parseSyncModeEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_SKEW_BOUND"))
-        sync.skewBound = parseSkewBoundEnv(env);
-    return sync;
 }
 
 } // namespace netcrafter::config

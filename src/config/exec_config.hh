@@ -1,15 +1,13 @@
 /**
  * @file
  * Execution-policy knobs: how many host threads drive the shard
- * engines and whether they work-steal across the quantum barrier.
- * Pure execution details — no knob here can change a simulation
- * result, which is why they live outside SystemConfig and its digest.
+ * engines. Pure execution details — no knob here can change a
+ * simulation result, which is why they live outside SystemConfig and
+ * its digest.
  */
 
 #ifndef NETCRAFTER_CONFIG_EXEC_CONFIG_HH
 #define NETCRAFTER_CONFIG_EXEC_CONFIG_HH
-
-#include <cstdint>
 
 #include "src/sim/sharded_engine.hh"
 
@@ -25,50 +23,11 @@ namespace netcrafter::config {
 unsigned parseThreadsEnv(const char *text);
 
 /**
- * Parse one NETCRAFTER_STEAL value: 0/1, or the words off/on,
- * false/true. Anything else is fatal.
- */
-bool parseStealEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_STEAL_MIN_BACKLOG value: a positive event-count
- * floor below which a shard's unit is not worth stealing. Zero,
- * negatives, and garbage are fatal.
- */
-std::uint32_t parseStealMinBacklogEnv(const char *text);
-
-/**
- * Build an ExecPolicy from the NETCRAFTER_THREADS, NETCRAFTER_STEAL,
- * and NETCRAFTER_STEAL_MIN_BACKLOG environment variables, starting
- * from the defaults (threads = one per shard, stealing off). Unset
- * variables leave the corresponding field untouched; invalid values
- * are fatal.
+ * Build an ExecPolicy from the NETCRAFTER_THREADS environment
+ * variable, starting from the default (one thread per shard). An unset
+ * variable leaves the field untouched; an invalid value is fatal.
  */
 sim::ExecPolicy execPolicyFromEnv();
-
-/**
- * Parse one NETCRAFTER_SYNC value: "strict" or "relaxed". Anything
- * else is fatal. Unlike the ExecPolicy knobs above, the sync mode DOES
- * change simulation results (a relaxed run is reproducible but not
- * bit-identical to strict), so it flows into the result-cache key and
- * the export columns.
- */
-sim::SyncMode parseSyncModeEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SKEW_BOUND value: a non-negative tick bound on
- * relaxed-mode clock skew (0 degenerates to strict windows; capped at
- * 2^40 ticks). Negatives and garbage are fatal.
- */
-Tick parseSkewBoundEnv(const char *text);
-
-/**
- * Build a SyncPolicy from the NETCRAFTER_SYNC and NETCRAFTER_SKEW_BOUND
- * environment variables, starting from the defaults (strict mode, the
- * default relaxed skew bound). Unset variables leave the field
- * untouched; invalid values are fatal.
- */
-sim::SyncPolicy syncPolicyFromEnv();
 
 } // namespace netcrafter::config
 

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "src/flow/fidelity.hh"
-#include "src/sim/sharded_engine.hh"
 
 namespace netcrafter::exp {
 
@@ -114,12 +113,8 @@ fields()
         NUM_FIELD("barrier_rounds_skipped", r.result.barrierRoundsSkipped),
         NUM_FIELD("idle_parks", r.result.idleParks),
         NUM_FIELD("work_threads", std::uint64_t{r.result.workThreads}),
-        NUM_FIELD("steal_attempts", r.result.stealAttempts),
-        NUM_FIELD("steals_won", r.result.stealsWon),
-        NUM_FIELD("steals_aborted", r.result.stealsAborted),
         NUM_FIELD("covered_stall_ticks", r.result.coveredStallTicks),
         NUM_FIELD("residual_stall_ticks", r.result.residualStallTicks),
-        NUM_FIELD("load_spread_mean", r.result.loadSpreadMean),
         NUM_FIELD("adaptive_window_samples",
                   r.result.adaptiveWindowSamples),
         NUM_FIELD("adaptive_window_ticks_mean",
@@ -188,24 +183,9 @@ fields()
         NUM_FIELD("phase_barrier_wait_seconds",
                   r.result.phaseBarrierWaitSeconds),
         NUM_FIELD("phase_ingress_seconds", r.result.phaseIngressSeconds),
-        NUM_FIELD("phase_steal_scan_seconds",
-                  r.result.phaseStealScanSeconds),
         NUM_FIELD("phase_export_seconds", r.result.phaseExportSeconds),
-        // Relaxed-sync census: the synchronization mode the run
-        // executed under, its skew bound, and the observed skew /
-        // late-slot tallies (all zero under strict). The delivered
-        // pair is the wire-head conservation check.
-        STR_FIELD("sync_mode", sim::syncModeName(r.result.syncMode)),
-        NUM_FIELD("skew_bound",
-                  static_cast<std::uint64_t>(r.result.skewBound)),
-        NUM_FIELD("max_observed_skew", r.result.maxObservedSkew),
-        NUM_FIELD("mean_observed_skew", r.result.meanObservedSkew),
-        NUM_FIELD("late_arrivals", r.result.lateArrivals),
-        NUM_FIELD("late_credits", r.result.lateCredits),
-        NUM_FIELD("late_displacement_ticks",
-                  r.result.lateDisplacementTicks),
-        NUM_FIELD("max_late_displacement",
-                  r.result.maxLateDisplacement),
+        // Wire-head conservation check: equals the inter-cluster
+        // flit and wire-byte census after a drained cycle run.
         NUM_FIELD("wire_flits_delivered", r.result.wireFlitsDelivered),
         NUM_FIELD("wire_bytes_delivered", r.result.wireBytesDelivered),
     };

@@ -25,7 +25,6 @@
 #include "src/exp/sweep.hh"
 #include "src/flow/fidelity.hh"
 #include "src/harness/runner.hh"
-#include "src/sim/sharded_engine.hh"
 
 namespace netcrafter::exp {
 
@@ -52,25 +51,13 @@ struct CacheKey
      */
     flow::Fidelity fidelity = flow::Fidelity::Cycle;
 
-    /**
-     * Synchronization mode and skew bound the point ran under. Like
-     * fidelity these ARE part of the identity: a Relaxed run
-     * approximates the Strict measurement within the audited error
-     * budget, and two Relaxed runs with different skew bounds are
-     * different approximations. The skew bound is normalized to 0 for
-     * Strict keys so Strict requests are insensitive to it.
-     */
-    sim::SyncMode syncMode = sim::SyncMode::Strict;
-    Tick skewBound = 0;
-
     bool
     operator<(const CacheKey &o) const
     {
         return std::tie(workload, configDigest, scale, serveDigest,
-                        fidelity, syncMode, skewBound) <
+                        fidelity) <
                std::tie(o.workload, o.configDigest, o.scale,
-                        o.serveDigest, o.fidelity, o.syncMode,
-                        o.skewBound);
+                        o.serveDigest, o.fidelity);
     }
 
     bool
@@ -78,23 +65,13 @@ struct CacheKey
     {
         return workload == o.workload && configDigest == o.configDigest &&
                scale == o.scale && serveDigest == o.serveDigest &&
-               fidelity == o.fidelity && syncMode == o.syncMode &&
-               skewBound == o.skewBound;
+               fidelity == o.fidelity;
     }
 };
 
-/** The key identifying @p job's simulation point at cycle fidelity
- *  under strict synchronization. */
-CacheKey keyOf(const Job &job);
-
-/** The key identifying @p job's simulation point at @p fidelity under
- *  strict synchronization. */
-CacheKey keyOf(const Job &job, flow::Fidelity fidelity);
-
-/** The key identifying @p job's simulation point at @p fidelity under
- *  @p sync (the skew bound is normalized to 0 for Strict keys). */
-CacheKey keyOf(const Job &job, flow::Fidelity fidelity,
-               const sim::SyncPolicy &sync);
+/** The key identifying @p job's simulation point at @p fidelity. */
+CacheKey keyOf(const Job &job,
+               flow::Fidelity fidelity = flow::Fidelity::Cycle);
 
 class ResultCache
 {

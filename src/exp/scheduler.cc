@@ -58,22 +58,21 @@ Scheduler::runJob(const Job &job, JobTiming &timing)
         if (job.serve.enabled) {
             return harness::runServe(job.serve, job.config, job.scale,
                                      shards_, trace, exec,
-                                     opts_.fidelity, opts_.sync);
+                                     opts_.fidelity);
         }
         return harness::runWorkload(job.workload, job.config, job.scale,
                                     shards_, trace, exec,
-                                    opts_.fidelity, opts_.sync);
+                                    opts_.fidelity);
     };
     harness::RunResult result;
     if (cache_ != nullptr) {
         // The cache key deliberately excludes shards_: sharding is an
         // execution strategy, not a design point, and results are
-        // bit-identical across shard counts. Fidelity and the sync
-        // policy, by contrast, are part of the key — approximate
-        // results must never answer an exact request.
-        result = cache_->getOrRun(
-            keyOf(job, opts_.fidelity, opts_.sync), simulate,
-            &timing.cacheHit);
+        // bit-identical across shard counts. Fidelity, by contrast, is
+        // part of the key — approximate results must never answer an
+        // exact request.
+        result = cache_->getOrRun(keyOf(job, opts_.fidelity), simulate,
+                                  &timing.cacheHit);
     } else {
         result = simulate();
     }

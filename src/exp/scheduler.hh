@@ -18,7 +18,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/config/exec_config.hh"
 #include "src/exp/result_cache.hh"
 #include "src/exp/sweep.hh"
 #include "src/flow/fidelity.hh"
@@ -118,14 +117,8 @@ struct SchedulerOptions
      */
     flow::Fidelity fidelity = flow::fidelityFromEnv();
 
-    /**
-     * Synchronization policy for every job. Defaults to the validated
-     * NETCRAFTER_SYNC / NETCRAFTER_SKEW_BOUND environment (unset =
-     * Strict). Part of the cache key, like fidelity: a Relaxed result
-     * never answers a Strict request, and Relaxed results at different
-     * skew bounds never conflate.
-     */
-    sim::SyncPolicy sync = config::syncPolicyFromEnv();
+    /** Accepted and ignored (see sim::SyncPolicy). */
+    sim::SyncPolicy sync{};
 };
 
 class Scheduler

@@ -60,9 +60,9 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * runs serially, while a count exceeding numClusters is a
      * configuration error (it would leave shards with no components)
      * and aborts with a clear message. @p exec controls how host
-     * threads drive the shards (thread count, work stealing) — an
-     * execution detail. Simulation results are identical for every
-     * shard count and every execution policy.
+     * threads drive the shards (the thread count) — an execution
+     * detail. Simulation results are identical for every shard count
+     * and every execution policy.
      *
      * @p fidelity selects the execution fidelity (src/flow/): Cycle is
      * the classic flit-level path and the default; Flow and Hybrid
@@ -72,14 +72,7 @@ class MultiGpuSystem : public workloads::PlacementDirectory
      * configuration digest, but results may differ slightly from
      * Cycle, so experiment caches key on it separately.
      *
-     * @p sync selects the barrier protocol (sim::SyncPolicy): Strict
-     * (the default) keeps conservative windows and bit-identity across
-     * shard counts; Relaxed lets shards free-run up to the policy's
-     * skew bound past the slowest shard, trading bounded timing
-     * displacement on cross-shard arrivals for far fewer barrier
-     * rendezvous. Like fidelity, it is an accuracy knob: not part of
-     * the configuration digest, keyed separately by experiment caches,
-     * and audited by tools/audit-skew.
+     * @p sync is accepted and ignored (see sim::SyncPolicy).
      */
     explicit MultiGpuSystem(const config::SystemConfig &cfg,
                             unsigned shards = 1,

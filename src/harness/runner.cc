@@ -106,12 +106,8 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
     r.barrierRoundsSkipped = engines.barrierRoundsSkipped();
     r.idleParks = engines.idleParks();
     r.workThreads = engines.workThreads();
-    r.stealAttempts = engines.stealAttempts();
-    r.stealsWon = engines.stealsWon();
-    r.stealsAborted = engines.stealsAborted();
     r.coveredStallTicks = engines.coveredStallTicks();
     r.residualStallTicks = engines.residualStallTicks();
-    r.loadSpreadMean = engines.loadSpreadAvg().mean();
     r.adaptiveWindowSamples = engines.windowTicksAvg().count();
     r.adaptiveWindowMean = engines.windowTicksAvg().mean();
     r.adaptiveWindowMax = engines.windowTicksAvg().max();
@@ -129,16 +125,6 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
     r.poolArenaBytes = packet_pool.arenaBytes() + flit_pool.arenaBytes();
     r.smallFnHeapAllocs = sim::SmallFn::heapAllocations();
 
-    r.syncMode = engines.syncMode();
-    r.skewBound = r.syncMode == sim::SyncMode::Relaxed
-                      ? engines.syncPolicy().skewBound
-                      : 0;
-    r.maxObservedSkew = engines.maxObservedSkew();
-    r.meanObservedSkew = engines.skewAvg().mean();
-    r.lateArrivals = system.network().lateSlottedFlits();
-    r.lateCredits = system.network().lateSlottedCredits();
-    r.lateDisplacementTicks = system.network().lateDisplacementTicks();
-    r.maxLateDisplacement = system.network().maxLateDisplacement();
     r.wireFlitsDelivered =
         system.network().interClusterFlitsDelivered();
     r.wireBytesDelivered =
@@ -171,8 +157,6 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
     r.phaseBarrierWaitSeconds =
         board.phaseSeconds(obs::Phase::BarrierWait);
     r.phaseIngressSeconds = board.phaseSeconds(obs::Phase::Ingress);
-    r.phaseStealScanSeconds =
-        board.phaseSeconds(obs::Phase::StealScan);
     r.phaseExportSeconds = board.phaseSeconds(obs::Phase::Export);
 }
 
@@ -295,26 +279,15 @@ RunResult
 runWorkload(const std::string &workload_name,
             const config::SystemConfig &cfg, double scale,
             unsigned shards, const obs::TraceOptions &trace,
-            const sim::ExecPolicy &exec, flow::Fidelity fidelity)
-{
-    return runWorkload(workload_name, cfg, scale, shards, trace, exec,
-                       fidelity, config::syncPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace,
             const sim::ExecPolicy &exec, flow::Fidelity fidelity,
-            const sim::SyncPolicy &sync)
+            const sim::SyncPolicy & /*sync*/)
 {
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
     auto workload = workloads::makeWorkload(workload_name);
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity,
-                               sync);
+    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
     system.run(*workload, scale * envScale());
 
     RunResult r;
@@ -359,26 +332,15 @@ RunResult
 runServe(const serve::ServeConfig &serve,
          const config::SystemConfig &cfg, double scale,
          unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec, flow::Fidelity fidelity)
-{
-    return runServe(serve, cfg, scale, shards, trace, exec, fidelity,
-                    config::syncPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
          const sim::ExecPolicy &exec, flow::Fidelity fidelity,
-         const sim::SyncPolicy &sync)
+         const sim::SyncPolicy & /*sync*/)
 {
     NC_ASSERT(serve.enabled, "runServe with serving disabled");
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity,
-                               sync);
+    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
     serve::ServeSession session(system, serve, scale * envScale());
     const serve::ServeReport report = session.run();
     if (report.status != sim::RunStatus::Drained) {

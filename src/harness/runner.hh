@@ -138,28 +138,14 @@ struct RunResult
     /** Executor threads that drove the shards (1 = serial). */
     unsigned workThreads = 1;
 
-    /** Whole-window steal claims attempted by non-home threads. */
-    std::uint64_t stealAttempts = 0;
-
-    /** Steal claims won: units executed away from their home thread. */
-    std::uint64_t stealsWon = 0;
-
-    /** Steal claims lost to a concurrent claimant. */
-    std::uint64_t stealsAborted = 0;
-
     /** Window-tail stall ticks whose executor immediately ran another
      *  unit in the same round — stall converted into useful host time
-     *  by multiplexing or stealing. */
+     *  by thread multiplexing. */
     std::uint64_t coveredStallTicks = 0;
 
     /** barrierStallTicks minus coveredStallTicks: stall that still
      *  cost idle host time at the barrier. */
     std::uint64_t residualStallTicks = 0;
-
-    /** Mean published-backlog spread (max - min pending events) over
-     *  each round's active shards — the donor/thief imbalance work
-     *  stealing exploits. Deterministic for a given shard count. */
-    double loadSpreadMean = 0;
 
     /** Bounded adaptive-window widths the coordinator picked, in
      *  ticks: sample count, mean, and max (0/0/0 when serial or when
@@ -253,40 +239,6 @@ struct RunResult
     std::uint64_t flowMd1WaitTicks = 0;
     std::uint64_t flowFifoWaitTicks = 0;
 
-    // Relaxed-sync census. Like fidelity, the sync mode is run
-    // metadata that CAN change measurements: a Relaxed run with skew
-    // bound S approximates the Strict timing (the skew auditor bounds
-    // the error), so results from different sync policies must never
-    // be conflated — exp::ResultCache keys on both fields. All the
-    // skew counters are zero under Strict. ----------------------------
-    /** Synchronization mode the run executed under. */
-    sim::SyncMode syncMode = sim::SyncMode::Strict;
-
-    /** Skew bound S in ticks (0 when Strict: shards never diverge). */
-    Tick skewBound = 0;
-
-    /** Max observed shard-clock skew at any rendezvous, ticks. Always
-     *  <= skewBound by construction. */
-    std::uint64_t maxObservedSkew = 0;
-
-    /** Mean observed skew over rendezvous rounds, ticks. */
-    double meanObservedSkew = 0;
-
-    /** Cross-shard flit arrivals whose departure-stamped arrival tick
-     *  was already in the receiver's past and were slotted at the
-     *  receiver's current tick instead (per-channel FIFO preserved). */
-    std::uint64_t lateArrivals = 0;
-
-    /** Late-slotted reverse-direction credit returns (see above). */
-    std::uint64_t lateCredits = 0;
-
-    /** Summed tick displacement of late-slotted arrivals: how far
-     *  forward the slots moved in total. */
-    std::uint64_t lateDisplacementTicks = 0;
-
-    /** Largest single late-slot displacement, ticks. */
-    std::uint64_t maxLateDisplacement = 0;
-
     /** Inter-cluster flits delivered at wire heads (conservation
      *  check: equals interFlits after a drained cycle-fidelity run —
      *  flow-lane synthetic flits are credited, not delivered). */
@@ -307,9 +259,6 @@ struct RunResult
 
     /** Host seconds draining sealed cross-shard mailboxes. */
     double phaseIngressSeconds = 0;
-
-    /** Host seconds scanning claim words and the steal ledger. */
-    double phaseStealScanSeconds = 0;
 
     /** Host seconds exporting trace artifacts after the run. */
     double phaseExportSeconds = 0;
@@ -345,10 +294,9 @@ RunResult runWorkload(const std::string &workload_name,
 
 /**
  * As above, additionally pinning the execution policy (executor thread
- * count, work stealing) instead of the NETCRAFTER_THREADS /
- * NETCRAFTER_STEAL / NETCRAFTER_STEAL_MIN_BACKLOG environment the
- * 4-argument overload consults. The policy is an execution detail:
- * every measured field is identical for every policy.
+ * count) instead of the NETCRAFTER_THREADS environment the 4-argument
+ * overload consults. The policy is an execution detail: every measured
+ * field is identical for every policy.
  */
 RunResult runWorkload(const std::string &workload_name,
                       const config::SystemConfig &cfg, double scale,
@@ -362,29 +310,14 @@ RunResult runWorkload(const std::string &workload_name,
  * field: flow/hybrid runs approximate the cycle measurement (the
  * validation harness bounds the error), so results from different
  * fidelities must never be conflated — exp::ResultCache keys on it.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace,
-                      const sim::ExecPolicy &exec,
-                      flow::Fidelity fidelity);
-
-/**
- * As above, additionally pinning the synchronization policy instead of
- * the validated NETCRAFTER_SYNC / NETCRAFTER_SKEW_BOUND environment
- * the fidelity overload consults (unset = Strict). Like fidelity, the
- * sync policy is run metadata: Relaxed runs approximate the Strict
- * measurement within the audited error budget, so results from
- * different policies must never be conflated — exp::ResultCache keys
- * on it. Relaxed runs are reproducible for a fixed (workload, config,
- * shards, skew bound) across thread counts and steal policies.
+ * @p sync is accepted and ignored (see sim::SyncPolicy).
  */
 RunResult runWorkload(const std::string &workload_name,
                       const config::SystemConfig &cfg, double scale,
                       unsigned shards, const obs::TraceOptions &trace,
                       const sim::ExecPolicy &exec,
                       flow::Fidelity fidelity,
-                      const sim::SyncPolicy &sync);
+                      const sim::SyncPolicy &sync = {});
 
 /**
  * Run one open-loop serving scenario (@p serve must be enabled) on a
@@ -413,16 +346,8 @@ RunResult runServe(const serve::ServeConfig &serve,
                    const config::SystemConfig &cfg, double scale,
                    unsigned shards, const obs::TraceOptions &trace,
                    const sim::ExecPolicy &exec,
-                   flow::Fidelity fidelity);
-
-/** As above with an explicit sync policy (see the runWorkload
- *  overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec,
                    flow::Fidelity fidelity,
-                   const sim::SyncPolicy &sync);
+                   const sim::SyncPolicy &sync = {});
 
 /** Geometric mean of a sequence of positive ratios. */
 double geomean(const std::vector<double> &xs);

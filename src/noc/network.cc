@@ -104,7 +104,6 @@ Network::build(const std::vector<sim::Engine *> &cluster_engines,
         }
     }
 
-    bool any_cross_shard = false;
     for (ClusterId from = 0; from < cfg_.numClusters; ++from) {
         for (ClusterId to = 0; to < cfg_.numClusters; ++to) {
             if (from == to)
@@ -134,7 +133,6 @@ Network::build(const std::vector<sim::Engine *> &cluster_engines,
                 NC_ASSERT(sharded != nullptr,
                           "cross-shard channel without a sharded engine");
                 sharded->registerPort(*il.channel);
-                any_cross_shard = true;
             }
 
             if (cfg_.netcrafter.anyEnabled()) {
@@ -160,11 +158,6 @@ Network::build(const std::vector<sim::Engine *> &cluster_engines,
             interLinks_.emplace(std::make_pair(from, to), std::move(il));
         }
     }
-
-    // Every inter-cluster channel shares cfg_.interLinkLatency, which
-    // is therefore the conservative lookahead.
-    if (any_cross_shard)
-        sharded->setLookahead(cfg_.interLinkLatency);
 }
 
 void
@@ -273,42 +266,6 @@ Network::interClusterBytesDelivered() const
     for (const auto &[key, il] : interLinks_)
         sum += il.channel->bytesDelivered();
     return sum;
-}
-
-std::uint64_t
-Network::lateSlottedFlits() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[key, il] : interLinks_)
-        sum += il.channel->lateSlottedFlits();
-    return sum;
-}
-
-std::uint64_t
-Network::lateSlottedCredits() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[key, il] : interLinks_)
-        sum += il.channel->lateSlottedCredits();
-    return sum;
-}
-
-std::uint64_t
-Network::lateDisplacementTicks() const
-{
-    std::uint64_t sum = 0;
-    for (const auto &[key, il] : interLinks_)
-        sum += il.channel->lateDisplacementTicks();
-    return sum;
-}
-
-std::uint64_t
-Network::maxLateDisplacement() const
-{
-    std::uint64_t max = 0;
-    for (const auto &[key, il] : interLinks_)
-        max = std::max(max, il.channel->maxLateDisplacement());
-    return max;
 }
 
 } // namespace netcrafter::noc

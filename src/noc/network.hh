@@ -63,8 +63,8 @@ class Network : public sim::SimObject
     /**
      * Build across @p engines' shards: cluster c's components bind to
      * shard sim::shardOfCluster(c, N). Cross-shard channels register
-     * with @p engines for barrier exchange, and the lookahead is set to
-     * the minimum cross-shard channel latency.
+     * with @p engines for barrier exchange; their latencies bound the
+     * engine's conservative windows.
      */
     Network(sim::ShardedEngine &engines,
             const config::SystemConfig &cfg);
@@ -117,19 +117,6 @@ class Network : public sim::SimObject
 
     /** Sum of wire bytes delivered into sink buffers. */
     std::uint64_t interClusterBytesDelivered() const;
-
-    /** Cross-shard arrivals late-slotted at the receiver's current
-     *  tick (relaxed sync only; always 0 under Strict). */
-    std::uint64_t lateSlottedFlits() const;
-
-    /** Credit returns late-slotted at the source side. */
-    std::uint64_t lateSlottedCredits() const;
-
-    /** Total forward displacement in ticks over all late slots. */
-    std::uint64_t lateDisplacementTicks() const;
-
-    /** Largest single late-slot displacement in ticks. */
-    std::uint64_t maxLateDisplacement() const;
 
     const config::SystemConfig &cfg() const { return cfg_; }
 

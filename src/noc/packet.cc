@@ -18,9 +18,9 @@ namespace {
 // reassembly and the outstanding-request tables key on it.
 //
 // The counters live in the dispatching Engine (one slot per source),
-// not in thread-local storage: under whole-window work stealing the
-// same shard executes on different host threads across rounds, and an
-// id sequence keyed by thread identity would fork. Engine ownership
+// not in thread-local storage: which host thread executes a shard
+// depends on the executor-thread count, and an id sequence keyed by
+// thread identity would fork. Engine ownership
 // also makes per-system reset automatic — every MultiGpuSystem builds
 // fresh engines. The thread_local vector remains only as a fallback for
 // packets created outside any engine dispatch (tests, setup code); it

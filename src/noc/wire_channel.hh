@@ -143,42 +143,11 @@ class WireChannel : public sim::SimObject, public sim::CrossShardPort
 
     /** Flits actually delivered into the sink buffer. After a drained
      *  run this equals flitsTransferred() minus flow-credited synthetic
-     *  flits — the exact-conservation invariant the relaxed-sync
-     *  auditor gates on (late-slotting displaces deliveries in time,
-     *  never drops or duplicates them). */
+     *  flits: the wire never drops or duplicates a flit. */
     std::uint64_t flitsDelivered() const { return flitsDelivered_; }
 
     /** Wire bytes (flits x capacity) delivered into the sink. */
     std::uint64_t bytesDelivered() const { return bytesDelivered_; }
-
-    /**
-     * Cross-shard flit arrivals whose wire arrival tick was already in
-     * the receiver's past at import time and were therefore slotted at
-     * the receiver's current tick. Only a relaxed-sync run can produce
-     * these; under Strict the conservative window proves every arrival
-     * is strictly in the receiver's future.
-     */
-    std::uint64_t lateSlottedFlits() const { return lateSlottedFlits_; }
-
-    /** Credit returns late-slotted at the source side (same rule). */
-    std::uint64_t lateSlottedCredits() const
-    {
-        return lateSlottedCredits_;
-    }
-
-    /** Total ticks of forward displacement over all late-slotted
-     *  arrivals (flits + credits): sum of (slotted - scheduled). */
-    std::uint64_t lateDisplacementTicks() const
-    {
-        return lateDisplacementTicks_;
-    }
-
-    /** Largest single late-slot displacement in ticks; bounded by the
-     *  engine's skew bound by construction. */
-    std::uint64_t maxLateDisplacement() const
-    {
-        return maxLateDisplacement_;
-    }
 
     // CrossShardPort interface (used only when crossShard()).
     unsigned srcShard() const override { return srcShard_; }
@@ -266,10 +235,6 @@ class WireChannel : public sim::SimObject, public sim::CrossShardPort
     std::size_t maxIngressDepth_ = 0;
     std::uint64_t flitsDelivered_ = 0;
     std::uint64_t bytesDelivered_ = 0;
-    std::uint64_t lateSlottedFlits_ = 0;
-    std::uint64_t lateSlottedCredits_ = 0;
-    std::uint64_t lateDisplacementTicks_ = 0;
-    std::uint64_t maxLateDisplacement_ = 0;
     std::uint16_t traceLane_ = 0;
 };
 

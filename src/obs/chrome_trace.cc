@@ -294,11 +294,9 @@ writeHostChromeTrace(const sim::ShardedEngine &engine, std::ostream &os)
                  << ", \"window_ticks\": " << width
                  << ", \"stall_ticks\": " << span.stallTicks
                  << ", \"executor\": " << span.executor
-                 << ", \"stolen\": " << (span.stolen ? "true" : "false")
                  << ", \"covered\": " << (span.covered ? "true" : "false")
                  << "}";
-            writer.slice(kHostPid, static_cast<int>(s),
-                         span.stolen ? "quantum (stolen)" : "quantum",
+            writer.slice(kHostPid, static_cast<int>(s), "quantum",
                          span.hostBegin * 1e6,
                          (span.hostEnd - span.hostBegin) * 1e6,
                          args.str());
@@ -321,25 +319,14 @@ writeHostChromeTrace(const sim::ShardedEngine &engine, std::ostream &os)
                            static_cast<double>(width));
         }
     }
-    // The coordinator's per-round log: unit count, threads woken, and
-    // the published-backlog spread (donor/thief imbalance) on counter
-    // tracks of their own.
+    // The coordinator's per-round log: unit count and threads woken on
+    // counter tracks of their own.
     for (const sim::RoundRecord &round : engine.roundLog()) {
         writer.counter(kHostPid, "round_units", round.hostTime * 1e6,
                        "units", static_cast<double>(round.units));
         writer.counter(kHostPid, "round_threads_woken",
                        round.hostTime * 1e6, "threads",
                        static_cast<double>(round.threadsWoken));
-        writer.counter(kHostPid, "round_load_spread",
-                       round.hostTime * 1e6, "events",
-                       static_cast<double>(round.loadSpread));
-        // Relaxed-sync runs get a skew track; strict traces stay
-        // byte-identical to the pre-relaxed format.
-        if (engine.syncMode() == sim::SyncMode::Relaxed) {
-            writer.counter(kHostPid, "round_observed_skew",
-                           round.hostTime * 1e6, "ticks",
-                           static_cast<double>(round.maxSkew));
-        }
         // Host-time self-profiling: cumulative per-phase seconds at
         // each barrier round, one counter track per phase. All-zero
         // rounds (profiling unarmed) are skipped so untouched traces

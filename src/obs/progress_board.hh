@@ -40,12 +40,11 @@ enum class Phase : unsigned
     Execute = 0,  ///< inside Engine::runWindow, dispatching events
     BarrierWait,  ///< parked on the doorbell / coordinating the round
     Ingress,      ///< draining sealed cross-shard mailboxes
-    StealScan,    ///< walking the claim words and the steal ledger
     Export,       ///< post-run artifact export (harness-attributed)
 };
 
 /** Number of Phase values (for tables indexed by phase). */
-inline constexpr unsigned kPhaseCount = 5;
+inline constexpr unsigned kPhaseCount = 4;
 
 /** Stable lower-snake name for a phase ("barrier_wait", ...). */
 inline const char *
@@ -55,7 +54,6 @@ phaseName(Phase p)
       case Phase::Execute: return "execute";
       case Phase::BarrierWait: return "barrier_wait";
       case Phase::Ingress: return "ingress";
-      case Phase::StealScan: return "steal_scan";
       case Phase::Export: return "export";
     }
     return "(invalid)";
@@ -68,7 +66,7 @@ phaseName(Phase p)
  * window and by the shard Engine itself every 4096 events mid-window;
  * nextTick only at the barrier. serveInflight and flowLanesActive are
  * gauges bumped by the serve/flow subsystems from inside the shard's
- * event context (exactly one thread at a time, per the claim protocol).
+ * event context (exactly one thread at a time: the shard's home thread).
  */
 struct alignas(64) ShardCell
 {
@@ -183,9 +181,7 @@ class ProgressBoard
     std::atomic<std::uint64_t> windowEnd{kTickNever};
     std::atomic<std::uint64_t> quanta{0};
     std::atomic<std::uint64_t> stallTicks{0};
-    std::atomic<std::uint64_t> stealsWon{0};
     std::atomic<std::uint64_t> idleParks{0};
-    std::atomic<std::uint64_t> maxSkew{0};
 
   private:
     struct alignas(64) PhaseRow

@@ -303,12 +303,8 @@ Telemetry::emitHeartbeat(std::ostream *file, double host_seconds)
            << ",\"quanta\":" << b.quanta.load(std::memory_order_relaxed)
            << ",\"stall_ticks\":"
            << b.stallTicks.load(std::memory_order_relaxed)
-           << ",\"steals_won\":"
-           << b.stealsWon.load(std::memory_order_relaxed)
            << ",\"idle_parks\":"
            << b.idleParks.load(std::memory_order_relaxed)
-           << ",\"max_skew\":"
-           << b.maxSkew.load(std::memory_order_relaxed)
            << ",\"serve_inflight\":" << b.totalServeInflight()
            << ",\"flow_lanes_active\":" << b.totalFlowLanesActive()
            << ",\"shards\":[";

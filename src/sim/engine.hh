@@ -65,9 +65,9 @@ class Engine
      * The engine currently dispatching events on the calling thread, or
      * nullptr outside run()/runWindow(). Shard-owned state that used to
      * be keyed by thread identity (the per-source packet-id counters)
-     * keys off this instead: under whole-window work stealing the same
-     * shard's windows execute on different host threads across rounds,
-     * but always under exactly one engine.
+     * keys off this instead: which host thread executes a shard's
+     * windows depends on the executor-thread count, but they always run
+     * under exactly one engine.
      */
     static Engine *current() { return current_; }
 
@@ -75,8 +75,7 @@ class Engine
      * Bump-and-return the engine-owned sequence counter for @p slot
      * (grown on demand). The noc packet-id allocator uses one slot per
      * source GPU, making id sequences a function of the engine's event
-     * order alone — identical for every shard count, thread count, and
-     * steal schedule.
+     * order alone — identical for every shard count and thread count.
      */
     std::uint64_t
     bumpScopedId(std::size_t slot)

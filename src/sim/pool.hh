@@ -82,9 +82,9 @@ class ObjectPool
     /**
      * Retire this pool's slabs into a process-lifetime vault instead of
      * freeing them. A node is released to the *releasing* thread's free
-     * list, so once the work-stealing executor runs a shard's window on
-     * different host threads across rounds, nodes routinely migrate
-     * between per-thread free lists — and a node parked on thread A's
+     * list, so a node released on a thread other than the one that
+     * carved it migrates between per-thread free lists — and a node
+     * parked on thread A's
      * free list (or still live inside a long-lived packet) must stay
      * valid after thread B, whose pool carved the slab, exits. The
      * vault is intentionally immortal: slabs retire at worker-thread
@@ -123,9 +123,8 @@ class ObjectPool
         T *obj = free_.back();
         free_.pop_back();
         // Nodes released on this thread but carved by another thread's
-        // pool land on this free list too (work stealing migrates
-        // units between executors), so the free list can exceed this
-        // pool's own arena — clamp instead of underflowing. The
+        // pool land on this free list too, so the free list can exceed
+        // this pool's own arena — clamp instead of underflowing. The
         // high-water mark tracks net local liveness: a diagnostic of
         // this pool's footprint, not a global census.
         const std::size_t live =

@@ -16,8 +16,6 @@ namespace {
  *  quantum of 16 ticks (cfg.interLinkLatency). */
 const std::vector<double> kWindowBuckets = {16, 64, 256, 4096};
 
-std::atomic<LookaheadMode> defaultMode{LookaheadMode::Adaptive};
-
 /** a + b saturating at kTickNever (either operand may be the sentinel). */
 Tick
 satAdd(Tick a, Tick b)
@@ -27,50 +25,21 @@ satAdd(Tick a, Tick b)
 
 } // namespace
 
-void
-setDefaultLookaheadMode(LookaheadMode mode)
-{
-    defaultMode.store(mode, std::memory_order_relaxed);
-}
-
-LookaheadMode
-defaultLookaheadMode()
-{
-    return defaultMode.load(std::memory_order_relaxed);
-}
-
-const char *
-syncModeName(SyncMode mode)
-{
-    switch (mode) {
-      case SyncMode::Strict: return "strict";
-      case SyncMode::Relaxed: return "relaxed";
-    }
-    return "(invalid)";
-}
-
 /**
  * Shared state of one parallel drain. The quantum barrier is a single
  * sense-reversing rendezvous: `pending` counts the woken threads still
  * inside the current round, and the last one to decrement becomes the
  * round coordinator — it runs decide() with exclusive access (every
  * other thread is parked on its doorbell) and publishes the next
- * window by ringing exactly the doorbells of the threads that have (or
- * may steal) work in it. The doorbell word doubles as the sense: even
+ * window by ringing exactly the doorbells of the threads that home an
+ * active shard in it. The doorbell word doubles as the sense: even
  * values 2r mean "execute round r", odd values mean "the drain is
  * over". Threads futex-wait (std::atomic::wait) on their own doorbell,
  * so a thread with nothing to do sleeps through any number of rounds
- * without touching the barrier.
- *
- * Work units are claimed, not assigned: `claim[s]` holds the round
- * number in which shard s's unit was last claimed, and claiming unit s
- * for round r is a single CAS from the observed stale value (< r) to
- * r. Round numbers only ever grow, so the word never needs resetting
- * and a stale competitor simply loses the CAS. Counting *threads*
- * rather than units in `pending` is what makes the protocol safe: a
- * thread decrements only after its ledger scan is finished, so the
- * coordinator never rebuilds the ledger or the claim inputs while any
- * thread might still be reading them.
+ * without touching the barrier. A thread decrements `pending` only
+ * after its last home unit of the round is finished, so the
+ * coordinator never rewrites the round's inputs while any thread might
+ * still be reading them.
  *
  * The worker threads park on `cv` between run() calls and re-enter the
  * round loop when `generation` advances.
@@ -79,15 +48,11 @@ struct ShardedEngine::Coordination
 {
     Coordination(unsigned shards, unsigned threads)
         : door(new std::atomic<std::uint64_t>[threads]),
-          claim(new std::atomic<std::uint64_t>[shards]),
           nextTick(shards, kTickNever), lower(shards, kTickNever),
-          load(shards, 0), active(shards, 0), resume(shards, 0),
-          ledger(shards, 0), woken(threads, 0)
+          active(shards, 0), woken(threads, 0)
     {
         for (unsigned t = 0; t < threads; ++t)
             door[t].store(0, std::memory_order_relaxed);
-        for (unsigned s = 0; s < shards; ++s)
-            claim[s].store(0, std::memory_order_relaxed);
     }
 
     /** Woken threads still inside the current round. */
@@ -96,42 +61,19 @@ struct ShardedEngine::Coordination
     /** Per-thread doorbell/sense word (see above). */
     std::unique_ptr<std::atomic<std::uint64_t>[]> door;
 
-    /** Per-shard claim word: the round that last claimed the unit. */
-    std::unique_ptr<std::atomic<std::uint64_t>[]> claim;
-
     /** Rounds decided so far; only the coordinator writes it. */
     std::uint64_t round = 0;
 
     // Decision inputs/outputs. Written by the coordinator, published
     // to the woken threads by the doorbell release/acquire pair.
-    // nextTick and load are re-published by each unit's executor after
-    // its window runs; nothing reads them again until the next
-    // decide(), which the thread-counted barrier orders after every
-    // executor's writes.
+    // nextTick is re-published by each unit's executor after its
+    // window runs; nothing reads it again until the next decide(),
+    // which the thread-counted barrier orders after every executor's
+    // writes.
     Tick limit = kTickNever;
     std::vector<Tick> nextTick;
     std::vector<Tick> lower;
-    std::vector<std::uint64_t> load;
     std::vector<char> active;
-
-    /** Per-shard resume point (last executed tick + 1, floored at the
-     *  window start) published by each unit's executor under a bounded
-     *  relaxed window; the next decide() settles the round's
-     *  rendezvous-wait stall from these. */
-    std::vector<Tick> resume;
-
-    /** Whether the previous round's rendezvous-wait stall has been
-     *  charged; cleared each time a bounded relaxed window is issued
-     *  so the settle runs exactly once per such round, even across
-     *  run() calls. */
-    char stallSettled = 1;
-
-    /** Steal-eligible active shards, most-loaded first (shard id as
-     *  the tie-break); only the first ledgerSize entries are valid.
-     *  Read-only during a round — eligibility is frozen at decide()
-     *  time so thieves never race the executors' load updates. */
-    std::vector<unsigned> ledger;
-    std::uint32_t ledgerSize = 0;
 
     /** Threads participating in the current round. */
     std::vector<char> woken;
@@ -163,12 +105,6 @@ ShardedEngine::ShardedEngine(unsigned shards, ExecPolicy exec)
     threads_ = exec.threads == 0 ? shards : exec.threads;
     threads_ = std::clamp(threads_, 1u, shards);
     exec_.threads = threads_;
-    if (exec_.stealMinBacklog == 0)
-        exec_.stealMinBacklog = 1;
-
-    stealAttempts_.assign(threads_, 0);
-    stealsWon_.assign(threads_, 0);
-    stealsAborted_.assign(threads_, 0);
     coveredStall_.assign(threads_, 0);
 
     board_.init(shards, threads_);
@@ -216,21 +152,14 @@ ShardedEngine::registerPort(CrossShardPort &port)
         std::min(minOutLatency_[port.dstShard()], port.minLatency());
 }
 
-void
-ShardedEngine::setLookahead(Tick ticks)
-{
-    NC_ASSERT(ticks >= 1, "conservative lookahead must be >= 1 tick");
-    lookahead_ = ticks;
-}
-
 /**
  * Round coordinator: every woken thread of the previous round has
- * finished its claims and arrived; every other thread is parked on its
+ * finished its units and arrived; every other thread is parked on its
  * doorbell. Seal the channel outboxes, derive the per-shard earliest
- * runnable ticks, pick the next window, its active set and its steal
- * ledger, choose which threads to wake, and ring exactly those
- * doorbells (all of them when the drain is over). Exclusive access
- * throughout, so plain writes are safe; every input is pre-barrier
+ * runnable ticks, pick the next window and its active set, choose
+ * which threads to wake, and ring exactly those doorbells (all of them
+ * when the drain is over). Exclusive access throughout, so plain
+ * writes are safe; every input is pre-barrier
  * state, so any coordinator thread computes the same decision —
  * determinism does not depend on which thread arrives last.
  */
@@ -249,7 +178,7 @@ ShardedEngine::decide() noexcept
     // Earliest runnable tick per shard: its own event queue or a
     // sealed cross-shard arrival addressed to it. Parked shards'
     // published next-event ticks stay valid — a shard's engine only
-    // runs under a claimed unit, and claims are per-round exclusive.
+    // runs inside its own unit, on its home thread.
     for (unsigned s = 0; s < n; ++s)
         c.lower[s] = c.nextTick[s];
     for (const CrossShardPort *port : ports_) {
@@ -265,54 +194,6 @@ ShardedEngine::decide() noexcept
     for (unsigned s = 0; s < n; ++s)
         m = std::min(m, c.lower[s]);
 
-    // Settle the previous bounded relaxed round's stall. A widened
-    // window is a free-run region, not a tick fence: the round ends
-    // when the slowest participant drains, so a shard stalls only
-    // while it is parked at the rendezvous WITH runnable work pending
-    // — from when its next work is ready (its own queue or a sealed
-    // arrival, the same signal the strict active-set uses to grant
-    // idle parks) until the laggard's resume point releases the round.
-    // Ticks parked with an empty horizon are idle-park time, not
-    // barrier tax, exactly as strict mode scores them. (Strict and
-    // skew-bound-0 rounds keep the window-tail accounting in
-    // execUnit; unbounded drain-ahead windows count nothing, as
-    // before.) The laggard is only known once every unit retires,
-    // hence the deferred charge here, under the coordinator's
-    // exclusive access and after the lower bounds are current.
-    if (!c.stallSettled) {
-        c.stallSettled = 1;
-        Tick lead = 0;
-        for (unsigned s = 0; s < n; ++s)
-            if (c.active[s])
-                lead = std::max(lead, c.resume[s]);
-        for (unsigned s = 0; s < n; ++s) {
-            if (!c.active[s])
-                continue;
-            const Tick ready = std::max(c.resume[s], c.lower[s]);
-            if (ready < lead)
-                stallTicks_[s] += lead - ready;
-        }
-    }
-
-    // Observed skew: how far the leading shard's clock ran past the
-    // epoch floor the previous (bounded) window allowed. Sampled under
-    // the coordinator's exclusive access — every executor's engine
-    // writes happen-before this read via the arrival countdown. Strict
-    // windows keep every clock at or below the next floor, so the
-    // sample stream is all-zero there; unbounded drain-ahead windows
-    // are skipped (no cross-shard traffic is possible inside them, so
-    // there is no skew to bound).
-    std::uint64_t observed_skew = 0;
-    if (sync_.mode == SyncMode::Relaxed && m != kTickNever &&
-        c.round > 0 && c.windowEnd != kTickNever) {
-        Tick lead = 0;
-        for (unsigned s = 0; s < n; ++s)
-            lead = std::max(lead, engines_[s]->now());
-        observed_skew = lead > m ? lead - m : 0;
-        maxObservedSkew_ = std::max(maxObservedSkew_, observed_skew);
-        skewAvg_.sample(static_cast<double>(observed_skew));
-    }
-
     if (m == kTickNever || m > c.limit) {
         c.status =
             m == kTickNever ? RunStatus::Drained : RunStatus::LimitHit;
@@ -326,48 +207,24 @@ ShardedEngine::decide() noexcept
         return;
     }
 
-    Tick window_end;
-    if (mode_ == LookaheadMode::Adaptive) {
-        // Shard s cannot execute anything before lower[s], hence
-        // cannot put anything on a wire before lower[s] either; the
-        // earliest it can affect another shard is lower[s] + L_s with
-        // L_s the fastest channel leaving it. Shards that cannot emit
-        // impose no bound — when nobody can, everyone drains ahead in
-        // one unbounded stride.
-        window_end = kTickNever;
-        for (unsigned s = 0; s < n; ++s) {
-            if (minOutLatency_[s] == kTickNever)
-                continue;
-            const Tick horizon = satAdd(c.lower[s], minOutLatency_[s]);
-            if (horizon != kTickNever)
-                window_end = std::min(window_end, horizon - 1);
-        }
-    } else {
-        // The PR 3 bound: a static quantum of the global minimum
-        // cross-shard latency above the global minimum pending tick.
-        window_end = satAdd(m, lookahead_ - 1);
-    }
-    if (sync_.mode == SyncMode::Relaxed) {
-        // Bounded-skew epoch: widen the window so every shard may
-        // free-run up to skewBound ticks past the epoch floor m. Taking
-        // the max against the conservative bound keeps skewBound = 0
-        // bit-identical to Strict, and wider bounds replace ~S/L
-        // conservative rounds with one rendezvous. Arrivals generated
-        // inside the widened window can land in a receiver's past;
-        // importAtDst slots them at the receiver's current tick, which
-        // is what caps the displacement at the skew bound.
-        window_end = std::max(window_end, satAdd(m, sync_.skewBound));
+    // Shard s cannot execute anything before lower[s], hence cannot
+    // put anything on a wire before lower[s] either; the earliest it
+    // can affect another shard is lower[s] + L_s with L_s the fastest
+    // channel leaving it. Shards that cannot emit impose no bound —
+    // when nobody can, everyone drains ahead in one unbounded stride.
+    Tick window_end = kTickNever;
+    for (unsigned s = 0; s < n; ++s) {
+        if (minOutLatency_[s] == kTickNever)
+            continue;
+        const Tick horizon = satAdd(c.lower[s], minOutLatency_[s]);
+        if (horizon != kTickNever)
+            window_end = std::min(window_end, horizon - 1);
     }
     window_end = std::min(window_end, c.limit);
     NC_ASSERT(window_end >= m, "quantum window excludes its own start");
 
     c.windowStart = m;
     c.windowEnd = window_end;
-    c.stallSettled = sync_.mode == SyncMode::Relaxed &&
-                             sync_.skewBound > 0 &&
-                             window_end != kTickNever
-                         ? 0
-                         : 1;
     ++quantaExecuted_;
     if (window_end != kTickNever) {
         const double width = static_cast<double>(window_end - m + 1);
@@ -377,80 +234,22 @@ ShardedEngine::decide() noexcept
 
     // Active set: shards with anything runnable inside the window.
     // Everyone else sleeps through the round — no spinning through
-    // empty quanta, no barrier slot. The fixed-Q baseline keeps the
-    // PR 3 cost model instead: every shard runs every round and pays
-    // the full window-tail stall, which is exactly the
-    // synchronization tax BENCH_parallel.json measures.
+    // empty quanta, no barrier slot. Wake exactly the home threads of
+    // the active shards.
     std::uint32_t actives = 0;
-    if (mode_ == LookaheadMode::Adaptive) {
-        for (unsigned s = 0; s < n; ++s) {
-            c.active[s] = c.lower[s] <= window_end ? 1 : 0;
-            actives += static_cast<std::uint32_t>(c.active[s]);
-        }
-        idleParks_ += n - actives;
-    } else {
-        for (unsigned s = 0; s < n; ++s)
-            c.active[s] = 1;
-        actives = n;
-    }
-
-    // Donor/thief imbalance: the published-backlog spread over the
-    // round's units is the headroom stealing can exploit. Published
-    // loads are simulation state, so the sample stream is
-    // deterministic even though the steals themselves are not.
-    std::uint64_t spread = 0;
-    if (actives >= 2) {
-        std::uint64_t lo = ~std::uint64_t{0}, hi = 0;
-        for (unsigned s = 0; s < n; ++s) {
-            if (!c.active[s])
-                continue;
-            lo = std::min(lo, c.load[s]);
-            hi = std::max(hi, c.load[s]);
-        }
-        spread = hi - lo;
-        loadSpread_.sample(static_cast<double>(spread));
-    }
-
-    // Steal ledger: active units whose published backlog clears the
-    // granularity floor, most-loaded first. Frozen here so the round's
-    // thieves never read load[] while executors rewrite it.
-    c.ledgerSize = 0;
-    if (exec_.steal) {
-        for (unsigned s = 0; s < n; ++s)
-            if (c.active[s] && c.load[s] >= exec_.stealMinBacklog)
-                c.ledger[c.ledgerSize++] = s;
-        std::sort(c.ledger.begin(), c.ledger.begin() + c.ledgerSize,
-                  [&c](unsigned a, unsigned b) {
-                      if (c.load[a] != c.load[b])
-                          return c.load[a] > c.load[b];
-                      return a < b;
-                  });
-    }
-
-    // Wake the home threads of every active unit — home coverage is
-    // what guarantees each unit gets claimed even if no one steals —
-    // plus, when stealing, spare threads (lowest index first) up to
-    // one thread per unit. A spare can only claim off the ledger, so
-    // it may occasionally wake to find everything already taken;
-    // that costs one futile scan, never correctness.
     std::fill(c.woken.begin(), c.woken.end(), 0);
     std::uint32_t woken = 0;
     for (unsigned s = 0; s < n; ++s) {
-        if (c.active[s] && !c.woken[homeThread(s)]) {
+        c.active[s] = c.lower[s] <= window_end ? 1 : 0;
+        if (!c.active[s])
+            continue;
+        ++actives;
+        if (!c.woken[homeThread(s)]) {
             c.woken[homeThread(s)] = 1;
             ++woken;
         }
     }
-    if (exec_.steal) {
-        const std::uint32_t target =
-            std::min<std::uint32_t>(threads_, actives);
-        for (unsigned t = 0; t < threads_ && woken < target; ++t) {
-            if (!c.woken[t]) {
-                c.woken[t] = 1;
-                ++woken;
-            }
-        }
-    }
+    idleParks_ += n - actives;
     if (woken == 1) {
         // Solo round: the coordinator role lands on (or migrates to)
         // the only participating thread and no rendezvous happens.
@@ -462,8 +261,7 @@ ShardedEngine::decide() noexcept
     publishRound();
 
     if (hostTimeline_) {
-        RoundRecord rec{c.round, hostSeconds(), actives, woken, spread,
-                        observed_skew};
+        RoundRecord rec{c.round, hostSeconds(), actives, woken};
         if (profiling_) {
             for (unsigned p = 0; p < obs::kPhaseCount; ++p)
                 rec.phaseSeconds[p] =
@@ -493,9 +291,9 @@ ShardedEngine::decide() noexcept
  * Execute shard @p s's whole-window unit on thread @p t: drain the
  * sealed mailboxes addressed to the shard (registration order — the
  * serial order), run the window, account the window-tail stall, and
- * re-publish the shard's next-event tick and backlog for the next
- * decide(). Returns the unit's tail stall so the caller can mark it
- * covered if this thread goes on to run another unit this round.
+ * re-publish the shard's next-event tick for the next decide(). Returns
+ * the unit's tail stall so the caller can mark it covered if this
+ * thread goes on to run another unit this round.
  */
 std::uint64_t
 ShardedEngine::execUnit(unsigned s, unsigned t)
@@ -504,9 +302,7 @@ ShardedEngine::execUnit(unsigned s, unsigned t)
     Engine &engine = *engines_[s];
 
     // Import phase: flits materialize on the destination shard, credit
-    // returns come home to the source side — pinned to the owning
-    // shard's unit (not the executing thread), so arrival order is a
-    // function of the partition alone.
+    // returns come home to the source side, in registration order.
     phaseSwitch(t, obs::Phase::Ingress);
     for (CrossShardPort *port : ports_) {
         if (port->dstShard() == s)
@@ -519,29 +315,20 @@ ShardedEngine::execUnit(unsigned s, unsigned t)
     const double host_begin = hostTimeline_ ? hostSeconds() : 0;
     phaseSwitch(t, obs::Phase::Execute);
     engine.runWindow(window_end);
-    phaseSwitch(t, obs::Phase::StealScan);
 
     // Idle ticks at the window tail: the window forced this shard to
     // wait even though it had nothing left to simulate. An unbounded
-    // drain-ahead window has no tail by construction, and a bounded
-    // relaxed window is a free-run region whose rendezvous-wait stall
-    // only settles at the next decide(), once the round's laggard is
-    // known — publish the resume point for it instead of charging the
-    // (mostly fictional) tick-fence tail here.
+    // drain-ahead window has no tail by construction.
     std::uint64_t stall = 0;
     if (window_end != kTickNever) {
         const Tick resume = std::max(engine.now() + 1, c.windowStart);
-        if (sync_.mode == SyncMode::Relaxed && sync_.skewBound > 0) {
-            c.resume[s] = resume;
-        } else {
-            stall = (window_end + 1) - std::min(window_end + 1, resume);
-            stallTicks_[s] += stall;
-        }
+        stall = (window_end + 1) - std::min(window_end + 1, resume);
+        stallTicks_[s] += stall;
     }
 
     if (hostTimeline_) {
-        // hostSpans_[s] is only ever touched by the unit's executor,
-        // and claims make that exclusive per round.
+        // hostSpans_[s] is only ever touched by the shard's home
+        // thread.
         QuantumSpan span;
         span.windowStart = c.windowStart;
         span.windowEnd = window_end == kTickNever ? engine.now()
@@ -550,19 +337,17 @@ ShardedEngine::execUnit(unsigned s, unsigned t)
         span.hostEnd = hostSeconds();
         span.stallTicks = stall;
         span.executor = t;
-        span.stolen = homeThread(s) != t;
         hostSpans_[s].push_back(span);
     }
 
     c.nextTick[s] = engine.nextEventTick();
-    c.load[s] = engine.pendingEvents();
 
-    // Live-progress publish: this thread holds the unit's claim, so it
-    // is the only writer of the cell this round.
+    // Live-progress publish: the home thread is the only writer of the
+    // shard's cell.
     obs::ShardCell &cell = board_.cell(s);
     cell.tick.store(engine.now(), std::memory_order_relaxed);
     cell.events.store(engine.eventsExecuted(), std::memory_order_relaxed);
-    cell.backlog.store(c.load[s], std::memory_order_relaxed);
+    cell.backlog.store(engine.pendingEvents(), std::memory_order_relaxed);
     cell.nextTick.store(c.nextTick[s], std::memory_order_relaxed);
     return stall;
 }
@@ -573,13 +358,11 @@ ShardedEngine::threadLoop(unsigned t)
     Coordination &c = *coord_;
     const unsigned n = numShards();
 
-    // Join the drain: publish the home shards' earliest pending ticks
-    // and backlogs, then arrive. The last thread in becomes the
-    // coordinator of the first round.
-    for (unsigned s = t; s < n; s += threads_) {
+    // Join the drain: publish the home shards' earliest pending ticks,
+    // then arrive. The last thread in becomes the coordinator of the
+    // first round.
+    for (unsigned s = t; s < n; s += threads_)
         c.nextTick[s] = engines_[s]->nextEventTick();
-        c.load[s] = engines_[s]->pendingEvents();
-    }
     phaseOpen(t, obs::Phase::BarrierWait);
     std::uint64_t seen = c.door[t].load(std::memory_order_acquire);
     if (c.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
@@ -592,16 +375,16 @@ ShardedEngine::threadLoop(unsigned t)
             phaseFlush(t);
             return; // drain over; c.status is already published
         }
-        const std::uint64_t r = seen / 2;
-        phaseSwitch(t, obs::Phase::StealScan);
-
-        // Tail-stall coverage: when this thread begins another unit in
-        // the same round, the previous unit's window-tail stall cost
-        // no idle host time — the thread was busy, not barrier-bound.
+        // Run the active home units in ascending shard order. When
+        // this thread begins another unit in the same round, the
+        // previous unit's window-tail stall cost no idle host time —
+        // the thread was busy, not barrier-bound.
         std::uint64_t prev_stall = 0;
         unsigned prev_shard = 0;
         bool have_prev = false;
-        const auto runUnit = [&](unsigned s) {
+        for (unsigned s = t; s < n; s += threads_) {
+            if (!c.active[s])
+                continue;
             if (have_prev) {
                 coveredStall_[t] += prev_stall;
                 if (hostTimeline_)
@@ -610,49 +393,10 @@ ShardedEngine::threadLoop(unsigned t)
             prev_stall = execUnit(s, t);
             prev_shard = s;
             have_prev = true;
-        };
-
-        // Home pass: claim own units first, ascending shard order.
-        // Every active unit's home thread is woken, so this pass alone
-        // covers the round even with stealing disabled.
-        for (unsigned s = t; s < n; s += threads_) {
-            if (!c.active[s])
-                continue;
-            std::uint64_t stale =
-                c.claim[s].load(std::memory_order_acquire);
-            if (stale >= r)
-                continue; // already stolen this round
-            if (c.claim[s].compare_exchange_strong(
-                    stale, r, std::memory_order_acq_rel))
-                runUnit(s);
         }
 
-        // Steal pass: walk the ledger (most-loaded donors first) and
-        // CAS-claim leftover units. The claim decides only WHO runs
-        // the unit; its window, mailboxes, and engine state were all
-        // frozen at the barrier, so results are executor-invariant.
-        if (exec_.steal) {
-            for (std::uint32_t i = 0; i < c.ledgerSize; ++i) {
-                const unsigned s = c.ledger[i];
-                if (homeThread(s) == t)
-                    continue;
-                std::uint64_t stale =
-                    c.claim[s].load(std::memory_order_acquire);
-                if (stale >= r)
-                    continue; // somebody already has it
-                ++stealAttempts_[t];
-                if (c.claim[s].compare_exchange_strong(
-                        stale, r, std::memory_order_acq_rel)) {
-                    ++stealsWon_[t];
-                    runUnit(s);
-                } else {
-                    ++stealsAborted_[t];
-                }
-            }
-        }
-
-        // Arrive only after the scan is complete: the coordinator must
-        // not rebuild the ledger while any thread could still read it.
+        // Arrive only after the last unit: the coordinator must not
+        // rewrite the round's inputs while this thread still reads them.
         phaseSwitch(t, obs::Phase::BarrierWait);
         if (c.pending.fetch_sub(1, std::memory_order_acq_rel) == 1)
             decide();
@@ -772,33 +516,6 @@ ShardedEngine::residualStallTicks() const
     return totalBarrierStallTicks() - coveredStallTicks();
 }
 
-std::uint64_t
-ShardedEngine::stealAttempts() const
-{
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : stealAttempts_)
-        sum += v;
-    return sum;
-}
-
-std::uint64_t
-ShardedEngine::stealsWon() const
-{
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : stealsWon_)
-        sum += v;
-    return sum;
-}
-
-std::uint64_t
-ShardedEngine::stealsAborted() const
-{
-    std::uint64_t sum = 0;
-    for (std::uint64_t v : stealsAborted_)
-        sum += v;
-    return sum;
-}
-
 void
 ShardedEngine::phaseOpen(unsigned t, obs::Phase p)
 {
@@ -858,19 +575,12 @@ ShardedEngine::publishRound()
     board_.windowEnd.store(c.windowEnd, std::memory_order_relaxed);
     board_.quanta.store(quantaExecuted_, std::memory_order_relaxed);
     board_.idleParks.store(idleParks_, std::memory_order_relaxed);
-    board_.maxSkew.store(maxObservedSkew_, std::memory_order_relaxed);
 
     // The executors' tallies are plain words, but every executor's
     // writes happen-before the coordinator via the thread-counted
     // arrival countdown, so summing them here is race-free.
-    std::uint64_t stall = 0;
-    for (unsigned s = 0; s < n; ++s)
-        stall += stallTicks_[s];
-    board_.stallTicks.store(stall, std::memory_order_relaxed);
-    std::uint64_t won = 0;
-    for (unsigned t = 0; t < threads_; ++t)
-        won += stealsWon_[t];
-    board_.stealsWon.store(won, std::memory_order_relaxed);
+    board_.stallTicks.store(totalBarrierStallTicks(),
+                            std::memory_order_relaxed);
 
     for (unsigned s = 0; s < n; ++s)
         board_.cell(s).nextTick.store(c.nextTick[s],
@@ -896,8 +606,6 @@ ShardedEngine::dumpFlightRecord(std::ostream &os) const
        << board_.quanta.load(std::memory_order_relaxed)
        << ", stall_ticks "
        << board_.stallTicks.load(std::memory_order_relaxed)
-       << ", steals_won "
-       << board_.stealsWon.load(std::memory_order_relaxed)
        << ", idle_parks "
        << board_.idleParks.load(std::memory_order_relaxed) << " ---\n";
 
@@ -913,9 +621,6 @@ ShardedEngine::dumpFlightRecord(std::ostream &os) const
            << cell.tick.load(std::memory_order_relaxed)
            << " events=" << cell.events.load(std::memory_order_relaxed)
            << " backlog=" << backlog << " next=" << tick_str(next)
-           << " claim_round="
-           << (coord_ ? coord_->claim[s].load(std::memory_order_relaxed)
-                      : 0)
            << " serve_inflight="
            << cell.serveInflight.load(std::memory_order_relaxed)
            << "\n";

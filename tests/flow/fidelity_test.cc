@@ -26,7 +26,7 @@ harness::RunResult
 runAt(const char *workload, Fidelity fidelity, double scale = 0.05)
 {
     const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial{1, false, 1};
+    const sim::ExecPolicy serial{1};
     return harness::runWorkload(workload, config::baselineConfig(),
                                 scale, /*shards=*/1, no_trace, serial,
                                 fidelity);

@@ -129,16 +129,16 @@ TEST(ObsDeterminism, TraceArtifactsAreShardInvariant)
     }
 }
 
-TEST(ObsDeterminism, MergedTraceOrderSurvivesWorkStealing)
+TEST(ObsDeterminism, MergedTraceOrderSurvivesThreadMultiplexing)
 {
     // The merged sim-time trace is ordered by (tick, lane, sequence):
-    // if work stealing could reorder event execution, the byte-for-byte
-    // comparison here would catch it. Run the same 4-shard point with
-    // stealing off, slurp the artifact, then rerun with stealing on
-    // (multiplexed on fewer threads, so steals actually migrate units)
-    // and demand the identical file.
+    // if multiplexing shards onto fewer executor threads could reorder
+    // event execution, the byte-for-byte comparison here would catch
+    // it. Run the same 4-shard point on one thread per shard, slurp
+    // the artifact, then rerun with 2 threads over the 4 shards and
+    // demand the identical file.
     const std::filesystem::path dir =
-        std::filesystem::path(::testing::TempDir()) / "obs-steal";
+        std::filesystem::path(::testing::TempDir()) / "obs-multiplex";
     std::filesystem::remove_all(dir);
 
     obs::TraceOptions trace;
@@ -151,7 +151,7 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesWorkStealing)
     const std::string base = fileBase(app, cfg, kTinyScale, 4);
 
     const harness::RunResult plain = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{0, false, 1});
+        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{0});
     const std::string trace_plain = slurp(dir / (base + ".trace.json"));
     const std::string series_plain =
         slurp(dir / (base + ".timeseries.csv"));
@@ -159,11 +159,12 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesWorkStealing)
 
     // Same file name — the rerun overwrites, which is exactly what
     // lets us compare the two schedules byte for byte.
-    const harness::RunResult stolen = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{2, true, 1});
-    EXPECT_TRUE(sameMeasurement(plain, stolen));
-    EXPECT_EQ(plain.traceRecords, stolen.traceRecords);
-    EXPECT_EQ(stolen.traceDropped, 0u);
+    const harness::RunResult muxed = harness::runWorkload(
+        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{2});
+    EXPECT_EQ(muxed.workThreads, 2u);
+    EXPECT_TRUE(sameMeasurement(plain, muxed));
+    EXPECT_EQ(plain.traceRecords, muxed.traceRecords);
+    EXPECT_EQ(muxed.traceDropped, 0u);
     EXPECT_EQ(trace_plain, slurp(dir / (base + ".trace.json")));
     EXPECT_EQ(series_plain, slurp(dir / (base + ".timeseries.csv")));
     expectValidChromeTrace(dir / (base + ".host.trace.json"));

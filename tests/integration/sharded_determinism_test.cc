@@ -10,28 +10,9 @@
 #include <gtest/gtest.h>
 
 #include "src/harness/runner.hh"
-#include "src/sim/sharded_engine.hh"
 
 namespace netcrafter {
 namespace {
-
-/** Scoped override of the process-wide lookahead-mode default. */
-class ScopedLookaheadMode
-{
-  public:
-    explicit ScopedLookaheadMode(sim::LookaheadMode mode)
-        : prev_(sim::defaultLookaheadMode())
-    {
-        sim::setDefaultLookaheadMode(mode);
-    }
-    ~ScopedLookaheadMode() { sim::setDefaultLookaheadMode(prev_); }
-
-    ScopedLookaheadMode(const ScopedLookaheadMode &) = delete;
-    ScopedLookaheadMode &operator=(const ScopedLookaheadMode &) = delete;
-
-  private:
-    sim::LookaheadMode prev_;
-};
 
 config::SystemConfig
 shrink(config::SystemConfig cfg)
@@ -107,132 +88,29 @@ TEST(ShardedDeterminismTest, FourClustersFourShards)
     expectShardInvariant("MT", nc, 4);
 }
 
-/**
- * The fixed-Q path is kept behind LookaheadMode::FixedQuantum exactly
- * so this regression can pin the two window policies against each
- * other: same (workload, config, shards), bit-identical measurements,
- * and the adaptive windows — never narrower than Q — need at most as
- * many quanta.
- */
-void
-expectAdaptiveMatchesFixed(const std::string &app,
-                           const config::SystemConfig &cfg)
-{
-    for (const unsigned shards : {1u, 2u, 4u}) {
-        harness::RunResult fixed_q, adaptive;
-        {
-            ScopedLookaheadMode mode(sim::LookaheadMode::FixedQuantum);
-            fixed_q = harness::runWorkload(app, cfg, kTinyScale, shards);
-        }
-        {
-            ScopedLookaheadMode mode(sim::LookaheadMode::Adaptive);
-            adaptive = harness::runWorkload(app, cfg, kTinyScale, shards);
-        }
-        EXPECT_TRUE(sameMeasurement(fixed_q, adaptive))
-            << app << " diverged between window policies at " << shards
-            << " shards: fixed " << fixed_q.cycles << " cycles / "
-            << fixed_q.events << " events, adaptive " << adaptive.cycles
-            << " cycles / " << adaptive.events << " events";
-        EXPECT_EQ(fixed_q.events, adaptive.events) << app;
-        EXPECT_EQ(fixed_q.interFlits, adaptive.interFlits) << app;
-        if (shards > 1) {
-            EXPECT_LE(adaptive.quantaExecuted, fixed_q.quantaExecuted)
-                << app << ": adaptive windows can only widen";
-        }
-    }
-}
-
-TEST(ShardedDeterminismTest, AdaptiveMatchesFixedOnFig03Point)
-{
-    config::SystemConfig cfg = shrink(config::baselineConfig());
-    cfg.numClusters = 4;
-    cfg.gpusPerCluster = 1;
-    expectAdaptiveMatchesFixed("GUPS", cfg);
-}
-
-TEST(ShardedDeterminismTest, AdaptiveMatchesFixedOnFig14Point)
-{
-    config::SystemConfig nc = shrink(config::netcrafterConfig());
-    nc.numClusters = 4;
-    nc.gpusPerCluster = 1;
-    expectAdaptiveMatchesFixed("MT", nc);
-}
-
-/**
- * The work-stealing bit-identity grid: the same (workload, config) at
- * 1, 2, and 4 shards, stealing on and off, across executor thread
- * counts. Every combination must reproduce the serial measurement —
- * flit census, figure metrics, and the full event count — because the
- * claim ledger only picks WHO executes a whole-window unit, never what
- * the unit does.
- */
-TEST(ShardedDeterminismTest, StealingIsBitIdenticalAcrossTheGrid)
-{
-    config::SystemConfig cfg = shrink(config::netcrafterConfig());
-    cfg.numClusters = 4;
-    cfg.gpusPerCluster = 1;
-    const std::string app = "MT";
-    const obs::TraceOptions no_trace;
-
-    const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1, no_trace);
-
-    struct GridPoint
-    {
-        unsigned shards;
-        sim::ExecPolicy exec;
-    };
-    const GridPoint grid[] = {
-        {2, {0, false, 1}}, {2, {1, true, 1}},  {2, {2, true, 1}},
-        {4, {0, false, 1}}, {4, {1, false, 1}}, {4, {2, false, 1}},
-        {4, {2, true, 1}},  {4, {4, true, 1}},  {4, {2, true, 64}},
-    };
-    for (const GridPoint &point : grid) {
-        const harness::RunResult run = harness::runWorkload(
-            app, cfg, kTinyScale, point.shards, no_trace, point.exec);
-        EXPECT_TRUE(sameMeasurement(serial, run))
-            << app << " diverged at " << point.shards << " shards, "
-            << point.exec.threads << " threads, steal="
-            << point.exec.steal << ": serial " << serial.cycles
-            << " cycles / " << serial.events << " events, got "
-            << run.cycles << " cycles / " << run.events << " events";
-        EXPECT_EQ(serial.events, run.events);
-        EXPECT_EQ(serial.interFlits, run.interFlits);
-        // The deterministic stall census is executor-invariant too,
-        // and the steal bookkeeping stays internally consistent.
-        EXPECT_EQ(run.stealAttempts, run.stealsWon + run.stealsAborted);
-        EXPECT_LE(run.coveredStallTicks, run.barrierStallTicks);
-        const unsigned expect_threads =
-            point.exec.threads == 0
-                ? point.shards
-                : std::min(point.exec.threads, point.shards);
-        EXPECT_EQ(run.workThreads, expect_threads);
-    }
-}
-
 TEST(ShardedDeterminismTest, StallCensusIsThreadCountInvariant)
 {
     // barrierStallTicks is sim-tick arithmetic over the round protocol
     // and must not move with the executor mapping; only the covered /
-    // residual split (host-schedule diagnostics) may differ.
+    // residual split (a function of the thread count) may differ.
     config::SystemConfig cfg = shrink(config::baselineConfig());
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
     const obs::TraceOptions no_trace;
 
     const harness::RunResult four = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{0, false, 1});
+        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{0});
     const harness::RunResult mux = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{1, false, 1});
-    const harness::RunResult steal = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{2, true, 1});
+        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{1});
+    const harness::RunResult two = harness::runWorkload(
+        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{2});
 
     EXPECT_TRUE(sameMeasurement(four, mux));
-    EXPECT_TRUE(sameMeasurement(four, steal));
+    EXPECT_TRUE(sameMeasurement(four, two));
     EXPECT_EQ(four.barrierStallTicks, mux.barrierStallTicks);
-    EXPECT_EQ(four.barrierStallTicks, steal.barrierStallTicks);
+    EXPECT_EQ(four.barrierStallTicks, two.barrierStallTicks);
     EXPECT_EQ(four.quantaExecuted, mux.quantaExecuted);
-    EXPECT_EQ(four.quantaExecuted, steal.quantaExecuted);
+    EXPECT_EQ(four.quantaExecuted, two.quantaExecuted);
     // A single executor multiplexing four shards covers every round's
     // stall except the last unit's — the covered share must be real.
     if (mux.barrierStallTicks > 0)

@@ -139,8 +139,8 @@ TEST(Pool, SteadyStateDoesNotGrowTheArena)
 
 TEST(Pool, SlabsRetireToTheVaultWhenTheirThreadExits)
 {
-    // Under whole-window work stealing a shard's packets can outlive
-    // the host thread whose pool carved their slab: a node released on
+    // A packet can outlive the host thread whose pool carved its
+    // slab (executor threads exit with their engine): a node released on
     // thread A joins A's free list even though thread B allocated it,
     // and a still-referenced node must stay valid after B exits. The
     // exiting thread's pool retires its slabs into the process-wide

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <memory>
 #include <vector>
 
 #include "src/sim/engine.hh"
@@ -15,126 +16,6 @@
 
 namespace netcrafter::sim {
 namespace {
-
-TEST(ShardedEngineTest, SingleShardRunsSerially)
-{
-    ShardedEngine eng(1);
-    ASSERT_EQ(eng.numShards(), 1u);
-
-    std::vector<Tick> fired;
-    eng.shard(0).schedule(5, [&] { fired.push_back(eng.shard(0).now()); });
-    eng.shard(0).schedule(2, [&] { fired.push_back(eng.shard(0).now()); });
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    ASSERT_EQ(fired.size(), 2u);
-    EXPECT_EQ(fired[0], 2u);
-    EXPECT_EQ(fired[1], 5u);
-    EXPECT_EQ(eng.quantaExecuted(), 0u); // no barriers when serial
-    EXPECT_EQ(eng.eventsExecuted(), 2u);
-}
-
-TEST(ShardedEngineTest, TwoShardsDrainIndependentWork)
-{
-    ShardedEngine eng(2);
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(10);
-
-    std::vector<Tick> fired0, fired1;
-    for (Tick t : {3u, 17u, 42u})
-        eng.shard(0).schedule(t, [&fired0, &eng] {
-            fired0.push_back(eng.shard(0).now());
-        });
-    for (Tick t : {5u, 25u})
-        eng.shard(1).schedule(t, [&fired1, &eng] {
-            fired1.push_back(eng.shard(1).now());
-        });
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_EQ(fired0, (std::vector<Tick>{3, 17, 42}));
-    EXPECT_EQ(fired1, (std::vector<Tick>{5, 25}));
-    EXPECT_EQ(eng.eventsExecuted(), 5u);
-    // Fixed windows of 10 ticks starting at the global minimum pending
-    // tick: [3,12] [17,26] [42,51] — rounds only where events remain.
-    EXPECT_GE(eng.quantaExecuted(), 3u);
-}
-
-TEST(ShardedEngineTest, AdaptiveDrainsUnconnectedShardsInOneStride)
-{
-    // With no registered cross-shard channel, no shard can ever affect
-    // another: the adaptive bound is infinite and the whole drain is
-    // one unbounded window with no stall on anyone.
-    ShardedEngine eng(2);
-    ASSERT_EQ(eng.lookaheadMode(), LookaheadMode::Adaptive);
-
-    std::vector<Tick> fired0, fired1;
-    for (Tick t : {3u, 17u, 42u})
-        eng.shard(0).schedule(t, [&fired0, &eng] {
-            fired0.push_back(eng.shard(0).now());
-        });
-    for (Tick t : {5u, 25u})
-        eng.shard(1).schedule(t, [&fired1, &eng] {
-            fired1.push_back(eng.shard(1).now());
-        });
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_EQ(fired0, (std::vector<Tick>{3, 17, 42}));
-    EXPECT_EQ(fired1, (std::vector<Tick>{5, 25}));
-    EXPECT_EQ(eng.quantaExecuted(), 1u);
-    EXPECT_EQ(eng.totalBarrierStallTicks(), 0u);
-    // Unbounded windows are excluded from the width distribution.
-    EXPECT_EQ(eng.windowTicksDist().total(), 0u);
-}
-
-TEST(ShardedEngineTest, LimitHitStopsBeforeFutureEvents)
-{
-    ShardedEngine eng(2);
-    eng.setLookahead(16);
-
-    bool late_fired = false;
-    eng.shard(0).schedule(5, [] {});
-    eng.shard(1).schedule(100, [&] { late_fired = true; });
-
-    EXPECT_EQ(eng.run(50), RunStatus::LimitHit);
-    EXPECT_FALSE(late_fired);
-    // The late event survives and fires on the next run.
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_TRUE(late_fired);
-}
-
-TEST(ShardedEngineTest, AlignClocksBringsAllShardsToGlobalMax)
-{
-    ShardedEngine eng(2);
-    eng.setLookahead(8);
-
-    eng.shard(0).schedule(7, [] {});
-    eng.shard(1).schedule(31, [] {});
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    eng.alignClocks();
-    EXPECT_EQ(eng.shard(0).now(), 31u);
-    EXPECT_EQ(eng.shard(1).now(), 31u);
-    EXPECT_EQ(eng.now(), 31u);
-}
-
-TEST(ShardedEngineTest, BarrierStallTicksAccrueOnIdleShard)
-{
-    // The fixed-Q baseline keeps the PR 3 cost model: shard 1 has no
-    // events but still executes (and stalls through) every window, and
-    // nothing is ever parked or skipped.
-    ShardedEngine eng(2);
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(4);
-
-    for (Tick t : {1u, 6u, 11u})
-        eng.shard(0).schedule(t, [] {});
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_GT(eng.barrierStallTicks(1), 0u);
-    EXPECT_EQ(eng.idleParks(), 0u);
-    EXPECT_EQ(eng.barrierRoundsSkipped(), 0u);
-    EXPECT_EQ(eng.totalBarrierStallTicks(),
-              eng.barrierStallTicks(0) + eng.barrierStallTicks(1));
-}
 
 /**
  * Minimal cross-shard port for protocol tests: carries bare arrival
@@ -206,16 +87,141 @@ class TickPort : public CrossShardPort
     std::vector<Tick> delivered_;
 };
 
-TEST(ShardedEngineTest, AdaptiveParksIdleShardInsteadOfStalling)
+TEST(ShardedEngineTest, SingleShardRunsSerially)
 {
-    // Same schedule as BarrierStallTicksAccrueOnIdleShard, but under
-    // the adaptive protocol: a cross-shard channel bounds the windows,
-    // yet the workless shard sleeps through every round instead of
-    // spinning at each window tail.
+    ShardedEngine eng(1);
+    ASSERT_EQ(eng.numShards(), 1u);
+
+    std::vector<Tick> fired;
+    eng.shard(0).schedule(5, [&] { fired.push_back(eng.shard(0).now()); });
+    eng.shard(0).schedule(2, [&] { fired.push_back(eng.shard(0).now()); });
+
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    ASSERT_EQ(fired.size(), 2u);
+    EXPECT_EQ(fired[0], 2u);
+    EXPECT_EQ(fired[1], 5u);
+    EXPECT_EQ(eng.quantaExecuted(), 0u); // no barriers when serial
+    EXPECT_EQ(eng.eventsExecuted(), 2u);
+}
+
+TEST(ShardedEngineTest, TwoShardsDrainIndependentWork)
+{
+    ShardedEngine eng(2);
+    TickPort port(eng.shard(1), 0, 1, 10);
+    eng.registerPort(port);
+
+    std::vector<Tick> fired0, fired1;
+    for (Tick t : {3u, 17u, 42u})
+        eng.shard(0).schedule(t, [&fired0, &eng] {
+            fired0.push_back(eng.shard(0).now());
+        });
+    for (Tick t : {5u, 25u})
+        eng.shard(1).schedule(t, [&fired1, &eng] {
+            fired1.push_back(eng.shard(1).now());
+        });
+
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    EXPECT_EQ(fired0, (std::vector<Tick>{3, 17, 42}));
+    EXPECT_EQ(fired1, (std::vector<Tick>{5, 25}));
+    EXPECT_EQ(eng.eventsExecuted(), 5u);
+    // A 10-tick channel bounds every window to 10 ticks past the
+    // earliest runnable tick: [3,12] [17,26] [42,51] — rounds only
+    // where events remain.
+    EXPECT_EQ(eng.quantaExecuted(), 3u);
+}
+
+TEST(ShardedEngineTest, AdaptiveDrainsUnconnectedShardsInOneStride)
+{
+    // With no registered cross-shard channel, no shard can ever affect
+    // another: the adaptive bound is infinite and the whole drain is
+    // one unbounded window with no stall on anyone.
+    ShardedEngine eng(2);
+
+    std::vector<Tick> fired0, fired1;
+    for (Tick t : {3u, 17u, 42u})
+        eng.shard(0).schedule(t, [&fired0, &eng] {
+            fired0.push_back(eng.shard(0).now());
+        });
+    for (Tick t : {5u, 25u})
+        eng.shard(1).schedule(t, [&fired1, &eng] {
+            fired1.push_back(eng.shard(1).now());
+        });
+
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    EXPECT_EQ(fired0, (std::vector<Tick>{3, 17, 42}));
+    EXPECT_EQ(fired1, (std::vector<Tick>{5, 25}));
+    EXPECT_EQ(eng.quantaExecuted(), 1u);
+    EXPECT_EQ(eng.totalBarrierStallTicks(), 0u);
+    // Unbounded windows are excluded from the width distribution.
+    EXPECT_EQ(eng.windowTicksDist().total(), 0u);
+}
+
+TEST(ShardedEngineTest, LimitHitStopsBeforeFutureEvents)
+{
+    ShardedEngine eng(2);
+    TickPort port(eng.shard(1), 0, 1, 16);
+    eng.registerPort(port);
+
+    bool late_fired = false;
+    eng.shard(0).schedule(5, [] {});
+    eng.shard(1).schedule(100, [&] { late_fired = true; });
+
+    EXPECT_EQ(eng.run(50), RunStatus::LimitHit);
+    EXPECT_FALSE(late_fired);
+    // The late event survives and fires on the next run.
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    EXPECT_TRUE(late_fired);
+}
+
+TEST(ShardedEngineTest, AlignClocksBringsAllShardsToGlobalMax)
+{
+    ShardedEngine eng(2);
+    TickPort port(eng.shard(1), 0, 1, 8);
+    eng.registerPort(port);
+
+    eng.shard(0).schedule(7, [] {});
+    eng.shard(1).schedule(31, [] {});
+
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    eng.alignClocks();
+    EXPECT_EQ(eng.shard(0).now(), 31u);
+    EXPECT_EQ(eng.shard(1).now(), 31u);
+    EXPECT_EQ(eng.now(), 31u);
+}
+
+TEST(ShardedEngineTest, BarrierStallTicksAccrueOnIdleShard)
+{
+    // A shard that runs out of events inside a window it participates
+    // in stalls through the window's tail. With a 4-tick channel the
+    // windows are [1,4], [6,9] and [11,14]: shard 1 stalls 3..4 of the
+    // first (2 ticks) and parks through the rest; shard 0 stalls 3
+    // ticks at the tail of each.
     ShardedEngine eng(2);
     TickPort port(eng.shard(1), 0, 1, 4);
     eng.registerPort(port);
-    eng.setLookahead(4);
+
+    for (Tick t : {1u, 6u, 11u})
+        eng.shard(0).schedule(t, [] {});
+    eng.shard(1).schedule(2, [] {});
+
+    EXPECT_EQ(eng.run(), RunStatus::Drained);
+    EXPECT_EQ(eng.quantaExecuted(), 3u);
+    EXPECT_EQ(eng.barrierStallTicks(0), 9u);
+    EXPECT_EQ(eng.barrierStallTicks(1), 2u);
+    EXPECT_EQ(eng.idleParks(), 2u);
+    EXPECT_EQ(eng.barrierRoundsSkipped(), 2u);
+    EXPECT_EQ(eng.totalBarrierStallTicks(),
+              eng.barrierStallTicks(0) + eng.barrierStallTicks(1));
+}
+
+TEST(ShardedEngineTest, AdaptiveParksIdleShardInsteadOfStalling)
+{
+    // A cross-shard channel bounds the windows, yet a workless shard
+    // sleeps through every round instead of spinning at each window
+    // tail.
+    ShardedEngine eng(2);
+    TickPort port(eng.shard(1), 0, 1, 4);
+    eng.registerPort(port);
 
     for (Tick t : {1u, 6u, 11u})
         eng.shard(0).schedule(t, [] {});
@@ -228,16 +234,14 @@ TEST(ShardedEngineTest, AdaptiveParksIdleShardInsteadOfStalling)
 
 TEST(ShardedEngineTest, AdaptiveWindowNeverNarrowerThanFixedQuantum)
 {
-    // The adaptive bound min_s(N_s + L_s) - 1 can only widen the fixed
-    // window [m, m + Q - 1]: N_s >= m for every shard and L_s >= Q by
-    // definition of Q = min channel latency. Every bounded window must
-    // therefore span at least Q ticks.
+    // The adaptive bound min_s(N_s + L_s) - 1 is never narrower than
+    // a fixed window [m, m + Q - 1]: N_s >= m for every shard and
+    // L_s >= Q by definition of Q = min channel latency. Every bounded
+    // window must therefore span at least Q ticks.
     constexpr Tick kLatency = 10;
     ShardedEngine eng(2);
-    ASSERT_EQ(eng.lookaheadMode(), LookaheadMode::Adaptive);
     TickPort port(eng.shard(1), 0, 1, kLatency);
     eng.registerPort(port);
-    eng.setLookahead(kLatency);
 
     for (Tick t : {0u, 40u})
         eng.shard(0).schedule(t, [] {});
@@ -262,7 +266,6 @@ TEST(ShardedEngineTest, ParkedShardWakesForSealedArrival)
     ShardedEngine eng(2);
     TickPort port(eng.shard(1), 0, 1, kLatency);
     eng.registerPort(port);
-    eng.setLookahead(kLatency);
 
     eng.shard(0).schedule(3, [&] {
         port.send(eng.shard(0).now() + kLatency);
@@ -283,7 +286,8 @@ TEST(ShardedEngineTest, RepeatedRunsAcrossKernelBarriers)
     // Mimic the inter-kernel pattern: run to drain, align, schedule
     // more, run again — worker threads must park and resume cleanly.
     ShardedEngine eng(2);
-    eng.setLookahead(16);
+    TickPort port(eng.shard(1), 0, 1, 16);
+    eng.registerPort(port);
 
     // Per-shard counters: callbacks run concurrently on their shard's
     // thread, so they must not share mutable state.
@@ -315,29 +319,45 @@ TEST(ShardedEngineTest, WirePhaseFiresBeforeDefaultAtSameTick)
 
 TEST(ShardedEngineTest, ExecPolicyClampsThreadsToShards)
 {
-    ShardedEngine wide(4, ExecPolicy{16, false, 1});
+    ShardedEngine wide(4, ExecPolicy{16});
     EXPECT_EQ(wide.workThreads(), 4u);
     ShardedEngine dflt(4);
     EXPECT_EQ(dflt.workThreads(), 4u); // 0 = one thread per shard
-    ShardedEngine narrow(4, ExecPolicy{2, true, 1});
+    ShardedEngine narrow(4, ExecPolicy{2});
     EXPECT_EQ(narrow.workThreads(), 2u);
-    EXPECT_TRUE(narrow.execPolicy().steal);
-    ShardedEngine serial(1, ExecPolicy{8, true, 1});
+    EXPECT_EQ(narrow.execPolicy().threads, 2u);
+    ShardedEngine serial(1, ExecPolicy{8});
     EXPECT_EQ(serial.workThreads(), 1u);
 }
 
+/** Four shards in a ring of 8-tick channels (s -> s+1), so every shard
+ *  bounds the windows. */
+struct RingEngine
+{
+    explicit RingEngine(const ExecPolicy &exec) : eng(4, exec)
+    {
+        for (unsigned s = 0; s < 4; ++s) {
+            ports.push_back(std::make_unique<TickPort>(
+                eng.shard((s + 1) % 4), s, (s + 1) % 4, 8));
+            eng.registerPort(*ports.back());
+        }
+    }
+
+    ShardedEngine eng;
+    std::vector<std::unique_ptr<TickPort>> ports;
+};
+
 /**
- * Run the same 4-shard fixed-quantum schedule under one execution
- * policy and return (per-shard fired ticks, total stall ticks). The
- * schedule is uneven on purpose: shard 0 carries 4x the events of
- * shard 3, so multiplexed and stealing executors face real imbalance.
+ * Run the same 4-shard ring schedule under one execution policy and
+ * return (per-shard fired ticks, total stall ticks). The schedule is
+ * uneven on purpose: shard 0 carries 4x the events of shard 3, so
+ * multiplexed executors face real imbalance.
  */
 std::array<std::vector<Tick>, 4>
 runUnevenSchedule(const ExecPolicy &exec, std::uint64_t *stall_ticks)
 {
-    ShardedEngine eng(4, exec);
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(8);
+    RingEngine ring(exec);
+    ShardedEngine &eng = ring.eng;
 
     std::array<std::vector<Tick>, 4> fired;
     for (unsigned s = 0; s < 4; ++s) {
@@ -352,44 +372,30 @@ runUnevenSchedule(const ExecPolicy &exec, std::uint64_t *stall_ticks)
     EXPECT_EQ(eng.run(), RunStatus::Drained);
     *stall_ticks = eng.totalBarrierStallTicks();
 
-    // Counter invariants hold under every policy: attempts split into
-    // wins and aborts, and coverage never exceeds the total stall.
+    // Counter invariants hold under every policy: coverage never
+    // exceeds the total stall.
     EXPECT_EQ(eng.eventsExecuted(), 40u);
-    EXPECT_EQ(eng.stealAttempts(), eng.stealsWon() + eng.stealsAborted());
     EXPECT_LE(eng.coveredStallTicks(), eng.totalBarrierStallTicks());
     EXPECT_EQ(eng.residualStallTicks(),
               eng.totalBarrierStallTicks() - eng.coveredStallTicks());
     return fired;
 }
 
-TEST(ShardedEngineTest, ResultsInvariantAcrossThreadCountsAndStealing)
+TEST(ShardedEngineTest, ResultsInvariantAcrossThreadCounts)
 {
-    // The tentpole guarantee: shards are deterministic work partitions
-    // and threads are mere executors, so event order, per-shard
-    // clocks, and the (sim-tick) stall census are identical for every
-    // thread count and steal schedule.
-    std::uint64_t stall_base = 0, stall_t1 = 0, stall_t2 = 0,
-                  stall_steal2 = 0, stall_steal4 = 0;
-    const auto base =
-        runUnevenSchedule(ExecPolicy{0, false, 1}, &stall_base);
-    const auto mux1 =
-        runUnevenSchedule(ExecPolicy{1, false, 1}, &stall_t1);
-    const auto mux2 =
-        runUnevenSchedule(ExecPolicy{2, false, 1}, &stall_t2);
-    const auto steal2 =
-        runUnevenSchedule(ExecPolicy{2, true, 1}, &stall_steal2);
-    const auto steal4 =
-        runUnevenSchedule(ExecPolicy{4, true, 1}, &stall_steal4);
-
-    EXPECT_EQ(base, mux1);
-    EXPECT_EQ(base, mux2);
-    EXPECT_EQ(base, steal2);
-    EXPECT_EQ(base, steal4);
-    // barrierStallTicks is a pure function of the round protocol.
-    EXPECT_EQ(stall_base, stall_t1);
-    EXPECT_EQ(stall_base, stall_t2);
-    EXPECT_EQ(stall_base, stall_steal2);
-    EXPECT_EQ(stall_base, stall_steal4);
+    // Shards are deterministic work partitions and threads are mere
+    // executors, so event order, per-shard clocks, and the (sim-tick)
+    // stall census are identical for every thread count, including the
+    // uneven homing of 3 threads over 4 shards.
+    std::uint64_t stall_base = 0;
+    const auto base = runUnevenSchedule(ExecPolicy{0}, &stall_base);
+    for (unsigned threads : {1u, 2u, 3u}) {
+        std::uint64_t stall = 0;
+        const auto mux = runUnevenSchedule(ExecPolicy{threads}, &stall);
+        EXPECT_EQ(base, mux) << threads << " threads";
+        // barrierStallTicks is a pure function of the round protocol.
+        EXPECT_EQ(stall_base, stall) << threads << " threads";
+    }
 }
 
 TEST(ShardedEngineTest, SingleThreadMultiplexesAndCoversStalls)
@@ -398,9 +404,8 @@ TEST(ShardedEngineTest, SingleThreadMultiplexesAndCoversStalls)
     // active units back to back, so every unit's window-tail stall
     // except the round's last is covered — the thread was busy, not
     // barrier-bound.
-    ShardedEngine eng(4, ExecPolicy{1, false, 1});
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(8);
+    RingEngine ring(ExecPolicy{1});
+    ShardedEngine &eng = ring.eng;
     ASSERT_EQ(eng.workThreads(), 1u);
 
     for (unsigned s = 0; s < 4; ++s)
@@ -413,41 +418,16 @@ TEST(ShardedEngineTest, SingleThreadMultiplexesAndCoversStalls)
     EXPECT_LT(eng.residualStallTicks(), eng.totalBarrierStallTicks());
     // One participating thread per round: every rendezvous is skipped.
     EXPECT_EQ(eng.barrierRoundsSkipped(), eng.quantaExecuted());
-    // No second thread exists, so nothing can ever be stolen.
-    EXPECT_EQ(eng.stealAttempts(), 0u);
-}
-
-TEST(ShardedEngineTest, StealMinBacklogGatesLedgerEligibility)
-{
-    // With the floor above every shard's backlog the ledger stays
-    // empty: spare threads have nothing to claim and the home pass
-    // covers all units, bit-identically.
-    std::uint64_t stall_gated = 0, stall_open = 0;
-    const auto gated = runUnevenSchedule(
-        ExecPolicy{2, true, 1'000'000}, &stall_gated);
-    const auto open =
-        runUnevenSchedule(ExecPolicy{2, true, 1}, &stall_open);
-    EXPECT_EQ(gated, open);
-    EXPECT_EQ(stall_gated, stall_open);
-
-    ShardedEngine eng(2, ExecPolicy{2, true, 1'000'000});
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(8);
-    eng.shard(0).schedule(1, [] {});
-    eng.shard(1).schedule(2, [] {});
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_EQ(eng.stealAttempts(), 0u);
-    EXPECT_EQ(eng.stealsWon(), 0u);
 }
 
 TEST(ShardedEngineTest, HostSpansRecordExecutorAndCoverage)
 {
     // Single executor, host timeline on: every span names thread 0,
-    // nothing is "stolen" (units run on their home thread), and in
-    // each multi-unit round every span except the last is covered.
-    ShardedEngine eng(2, ExecPolicy{1, false, 1});
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(8);
+    // and in each multi-unit round every span except the last is
+    // covered.
+    ShardedEngine eng(2, ExecPolicy{1});
+    TickPort port(eng.shard(1), 0, 1, 8);
+    eng.registerPort(port);
     eng.setHostTimelineEnabled(true);
 
     eng.shard(0).schedule(1, [] {});
@@ -456,38 +436,17 @@ TEST(ShardedEngineTest, HostSpansRecordExecutorAndCoverage)
 
     ASSERT_FALSE(eng.hostSpans(0).empty());
     ASSERT_FALSE(eng.hostSpans(1).empty());
-    for (unsigned s = 0; s < 2; ++s) {
-        for (const QuantumSpan &span : eng.hostSpans(s)) {
+    for (unsigned s = 0; s < 2; ++s)
+        for (const QuantumSpan &span : eng.hostSpans(s))
             EXPECT_EQ(span.executor, 0u);
-            EXPECT_FALSE(span.stolen);
-        }
-    }
-    // The home pass claims shard 0 then shard 1 in the shared round,
-    // so shard 0's span is covered and shard 1's is not.
+    // The thread runs shard 0 then shard 1 in the shared round, so
+    // shard 0's span is covered and shard 1's is not.
     EXPECT_TRUE(eng.hostSpans(0).front().covered);
     EXPECT_FALSE(eng.hostSpans(1).front().covered);
     // The coordinator logged one RoundRecord per decided round.
     EXPECT_EQ(eng.roundLog().size(), eng.quantaExecuted());
     EXPECT_EQ(eng.roundLog().front().units, 2u);
     EXPECT_EQ(eng.roundLog().front().threadsWoken, 1u);
-}
-
-TEST(ShardedEngineTest, LoadSpreadSamplesRoundImbalance)
-{
-    // Shard 0 enters each round with a deeper backlog than shard 1;
-    // the coordinator's spread samples (a deterministic function of
-    // published loads) must see that imbalance.
-    ShardedEngine eng(2, ExecPolicy{2, true, 1});
-    eng.setLookaheadMode(LookaheadMode::FixedQuantum);
-    eng.setLookahead(8);
-
-    for (unsigned i = 0; i < 12; ++i)
-        eng.shard(0).schedule(1 + 2 * i, [] {});
-    eng.shard(1).schedule(1, [] {});
-
-    EXPECT_EQ(eng.run(), RunStatus::Drained);
-    EXPECT_GT(eng.loadSpreadAvg().count(), 0u);
-    EXPECT_GT(eng.loadSpreadAvg().max(), 0.0);
 }
 
 TEST(ShardedEngineTest, WindowNeverExecutesEventsPastTheQuantum)

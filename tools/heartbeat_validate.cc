@@ -69,8 +69,8 @@ validateRecord(const JsonValue &root, std::size_t line,
     for (const JsonValue &run : runs->array) {
         for (const char *key :
              {"round", "window_start", "window_end", "quanta",
-              "stall_ticks", "steals_won", "idle_parks",
-              "max_skew", "serve_inflight", "flow_lanes_active"}) {
+              "stall_ticks", "idle_parks", "serve_inflight",
+              "flow_lanes_active"}) {
             if (!wantNumber(run, key, line))
                 return false;
         }

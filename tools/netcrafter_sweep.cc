@@ -65,11 +65,6 @@ usage(int code)
           "                    The default worker count is divided by N\n"
           "                    so jobs x shards never oversubscribes\n"
           "  --scale X         set NETCRAFTER_SCALE for this run\n"
-          "  --sync M          strict|relaxed shard synchronization\n"
-          "                    (default: NETCRAFTER_SYNC or strict)\n"
-          "  --skew-bound S    relaxed-mode clock-skew bound in ticks\n"
-          "                    (default: NETCRAFTER_SKEW_BOUND or 16;\n"
-          "                    ignored under --sync strict)\n"
           "  --fidelity F      cycle|flow|hybrid (default: the\n"
           "                    validated NETCRAFTER_FIDELITY env, else\n"
           "                    cycle). flow/hybrid approximate the\n"
@@ -295,12 +290,6 @@ main(int argc, char **argv)
             opts.fidelity = flow::parseFidelityOrDie(
                 value("--fidelity"), "--fidelity");
         }
-        else if (arg == "--sync")
-            opts.sync.mode =
-                config::parseSyncModeEnv(value("--sync").c_str());
-        else if (arg == "--skew-bound")
-            opts.sync.skewBound = config::parseSkewBoundEnv(
-                value("--skew-bound").c_str());
         else if (arg == "--json")
             json_path = value("--json");
         else if (arg == "--csv")

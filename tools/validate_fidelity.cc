@@ -131,7 +131,7 @@ main(int argc, char **argv)
     }
 
     const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial_exec{0, false, 1};
+    const sim::ExecPolicy serial_exec{0};
     const double tol = tolerance_pct / 100.0;
 
     struct PointRow
