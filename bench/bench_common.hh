@@ -1,12 +1,8 @@
 /**
  * @file
- * Shared helpers for the per-figure bench binaries: the Table 3 app
- * list, the paper's ablation configurations, and small printing
- * utilities. The implementations live in the experiment-orchestration
- * subsystem (src/exp/figures.hh) so declaratively defined sweeps and
- * the remaining hand-rolled binaries agree on the exact same
- * configurations; this header just adapts them to the historical
- * bench:: names.
+ * Host-capacity helpers shared by the bench tools (and the simulator
+ * benchmark under perfbench/): how many CPUs a run really has, and a
+ * loud warning when a sharded run has fewer than it needs.
  */
 
 #ifndef NETCRAFTER_BENCH_BENCH_COMMON_HH
@@ -15,51 +11,12 @@
 #include <iostream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #if defined(__linux__)
 #include <sched.h>
 #endif
 
-#include "src/config/system_config.hh"
-#include "src/exp/figures.hh"
-#include "src/harness/runner.hh"
-#include "src/harness/table.hh"
-#include "src/workloads/workload.hh"
-
 namespace netcrafter::bench {
-
-using config::SystemConfig;
-using harness::RunResult;
-using harness::Table;
-
-/** All Table 3 applications in the paper's order. */
-inline std::vector<std::string>
-apps()
-{
-    return workloads::workloadNames();
-}
-
-/** Baseline + Stitching with Selective Flit Pooling at the sweet spot. */
-inline SystemConfig
-stitchSelective32()
-{
-    return exp::stitchSelective32();
-}
-
-/** Stitching(+SelPool) + Trimming. */
-inline SystemConfig
-stitchTrim()
-{
-    return exp::stitchTrim();
-}
-
-/** The full NetCrafter design point (adds Sequencing). */
-inline SystemConfig
-fullNetcrafter()
-{
-    return exp::fullNetcrafter();
-}
 
 /**
  * CPUs actually usable by this process. hardware_concurrency() reports
@@ -105,20 +62,6 @@ undersubscribedNote(const char *bench_name, unsigned max_shards)
                        "overhead, not parallel speedup";
     std::cerr << bench_name << ": " << note << "\n";
     return note;
-}
-
-/** Print the standard figure banner. */
-inline void
-banner(const std::string &fig, const std::string &caption)
-{
-    exp::banner(std::cout, fig, caption);
-}
-
-/** Speedup of @p v over @p base execution cycles. */
-inline double
-speedup(const RunResult &base, const RunResult &v)
-{
-    return exp::speedup(base, v);
 }
 
 } // namespace netcrafter::bench

@@ -1,26 +1,13 @@
 /**
  * @file
- * Hot-path performance harness: runs the Figure 14 workload set
- * (every Table 3 app under the cumulative-mechanism configurations)
- * serially and reports simulator throughput — events per host second
- * and wall-time per figure point — as machine-readable JSON.
- *
- * The JSON seeds the repo's perf trajectory: each entry in
- * BENCH_hotpath.json is one (config, workload) point, plus aggregate
- * totals. Compare the aggregate "events_per_second" across commits to
- * track hot-path regressions; the simulated figures themselves must
- * stay bit-identical while this number grows.
+ * Hot-path performance harness for the two execution modes the
+ * simulator benchmark under perfbench/ does not measure. Both run the
+ * Figure 14 workload set (every Table 3 app under the
+ * cumulative-mechanism configurations) and write machine-readable JSON.
  *
  * Usage:
- *   perf_hotpath [--out FILE] [--quick] [--scale S]
- *                [--shards] [--obs [--ref FILE]] [--flow]
+ *   perf_hotpath --shards|--flow [--out FILE] [--quick] [--scale S]
  *
- *   --out FILE   write JSON to FILE (default BENCH_hotpath.json;
- *                BENCH_parallel.json with --shards, BENCH_obs.json
- *                with --obs, BENCH_flow.json with --flow)
- *   --quick      baseline + full NetCrafter configs only (CI smoke)
- *   --scale S    extra problem-size multiplier on top of
- *                NETCRAFTER_SCALE (default 1.0)
  *   --shards     parallel-scaling mode: run the figure 14 grid on a
  *                4-cluster topology serially, at 2 and 4 engine shards
  *                with one executor thread per shard, and at 4 shards
@@ -32,15 +19,6 @@
  *                requires at least as many host cores as threads, so
  *                on a single-core host the sharded points only measure
  *                barrier overhead.
- *   --obs        observability-overhead mode: run the grid once with
- *                tracing disabled and once with packet-level tracing +
- *                interval sampling held in memory, and fail unless
- *                every measured statistic is identical. Writes
- *                BENCH_obs.json with both throughputs; with
- *                --ref BENCH_hotpath.json it also reports
- *                (informationally) whether the disabled-path
- *                throughput stayed within 2% of the reference.
- *   --ref FILE   reference BENCH_hotpath.json for --obs
  *   --flow       hybrid-fidelity mode: every grid point at cycle,
  *                hybrid and flow fidelity (single engine, default
  *                topology). Writes BENCH_flow.json with per-point
@@ -48,41 +26,52 @@
  *                the relative cycles error of each approximate mode;
  *                fails only on broken flow-lane conservation (accuracy
  *                is validate-fidelity's gate)
+ *   --out FILE   write JSON to FILE (default BENCH_parallel.json with
+ *                --shards, BENCH_flow.json with --flow)
+ *   --quick      baseline + full NetCrafter configs only (CI smoke)
+ *   --scale S    extra problem-size multiplier on top of
+ *                NETCRAFTER_SCALE (default 1.0)
+ *
+ * The rest of the run options (threads, fidelity, tracing) come from
+ * the environment (harness::RunOptions::fromEnv) where a mode does not
+ * pin them.
  */
 
 #include <algorithm>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hh"
-#include "src/config/system_config.hh"
 #include "src/exp/export.hh"
-#include "src/obs/json_validate.hh"
-#include "src/obs/telemetry.hh"
-#include "src/obs/trace.hh"
-#include "src/sim/sharded_engine.hh"
+#include "src/exp/figures.hh"
+#include "src/harness/runner.hh"
+#include "src/workloads/workload.hh"
 
 namespace {
 
-using netcrafter::config::SystemConfig;
+using netcrafter::harness::RunOptions;
 using netcrafter::harness::RunResult;
-
-struct Point
-{
-    std::string config;
-    std::string workload;
-    RunResult result;
-};
 
 double
 eventsPerSecond(std::uint64_t events, double seconds)
 {
     return seconds > 0 ? static_cast<double>(events) / seconds : 0.0;
+}
+
+/** The fig14 configurations; baseline and full NetCrafter only when
+ *  @p quick. */
+std::vector<netcrafter::exp::ConfigPoint>
+gridConfigs(bool quick)
+{
+    std::vector<netcrafter::exp::ConfigPoint> configs;
+    for (const auto &c : netcrafter::exp::fig14Configs()) {
+        if (!quick || c.label == "base" || c.label == "full")
+            configs.push_back(c);
+    }
+    return configs;
 }
 
 /**
@@ -93,21 +82,12 @@ eventsPerSecond(std::uint64_t events, double seconds)
  * from serial.
  */
 int
-runShardBench(const std::string &out_path, bool quick, double scale)
+runShardBench(const std::string &out_path, bool quick, double scale,
+              const RunOptions &env)
 {
     using namespace netcrafter;
 
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
-    }
+    std::vector<exp::ConfigPoint> configs = gridConfigs(quick);
     // Same GPU count as the default topology, but one GPU per cluster
     // so every shard count up to 4 gets real work.
     for (auto &[name, cfg] : configs) {
@@ -140,15 +120,17 @@ runShardBench(const std::string &out_path, bool quick, double scale)
     };
     const std::string note =
         bench::undersubscribedNote("perf_hotpath --shards", 4);
-    const obs::TraceOptions no_trace;
     bool census_ok = true;
 
     for (ShardRow &row : rows) {
+        RunOptions run = env;
+        run.scale = scale * env.scale;
+        run.shards = row.shards;
+        run.trace = {};
+        run.exec = sim::ExecPolicy{row.threads};
         for (const auto &[cfg_name, cfg] : configs) {
-            for (const auto &app : bench::apps()) {
-                const RunResult r = harness::runWorkload(
-                    app, cfg, scale, row.shards, no_trace,
-                    sim::ExecPolicy{row.threads});
+            for (const auto &app : workloads::workloadNames()) {
+                const RunResult r = harness::runWorkload(app, cfg, run);
                 row.events += r.events;
                 row.cycles += r.cycles;
                 row.quanta += r.quantaExecuted;
@@ -198,8 +180,7 @@ runShardBench(const std::string &out_path, bool quick, double scale)
     os << "  \"topology\": \"4 clusters x 1 gpu\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << netcrafter::harness::envScale()
-       << ",\n";
+    os << "  \"env_scale\": " << env.scale << ",\n";
     os << "  \"host_cpus\": " << host_cpus << ",\n";
     os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
     os << "  \"census_identical\": " << (census_ok ? "true" : "false")
@@ -257,21 +238,12 @@ runShardBench(const std::string &out_path, bool quick, double scale)
  * only if a run breaks flow-lane conservation.
  */
 int
-runFlowBench(const std::string &out_path, bool quick, double scale)
+runFlowBench(const std::string &out_path, bool quick, double scale,
+             const RunOptions &env)
 {
     using namespace netcrafter;
 
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
-    }
+    const std::vector<exp::ConfigPoint> configs = gridConfigs(quick);
 
     struct FlowPoint
     {
@@ -279,8 +251,16 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
         std::string workload;
         RunResult cycle, hybrid, flow;
     };
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial{0};
+    RunOptions run = env;
+    run.scale = scale * env.scale;
+    run.shards = 1;
+    run.trace = {};
+    run.exec = sim::ExecPolicy{0};
+    auto at = [&run](flow::Fidelity fidelity) {
+        RunOptions o = run;
+        o.fidelity = fidelity;
+        return o;
+    };
     std::vector<FlowPoint> points;
     bool conserved = true;
 
@@ -290,17 +270,16 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
     };
 
     for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
+        for (const auto &app : workloads::workloadNames()) {
             FlowPoint p;
             p.config = cfg_name;
             p.workload = app;
-            p.cycle = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                           serial, flow::Fidelity::Cycle);
-            p.hybrid = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                            serial,
-                                            flow::Fidelity::Hybrid);
-            p.flow = harness::runWorkload(app, cfg, scale, 1, no_trace,
-                                          serial, flow::Fidelity::Flow);
+            p.cycle = harness::runWorkload(app, cfg,
+                                           at(flow::Fidelity::Cycle));
+            p.hybrid = harness::runWorkload(app, cfg,
+                                            at(flow::Fidelity::Hybrid));
+            p.flow = harness::runWorkload(app, cfg,
+                                          at(flow::Fidelity::Flow));
             if (!conservationOk(p.hybrid) || !conservationOk(p.flow)) {
                 std::cerr << "perf_hotpath --flow: conservation broken "
                              "at "
@@ -347,7 +326,7 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
     os << "  \"workload_set\": \"fig14\",\n";
     os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << env.scale << ",\n";
     os << "  \"conservation_exact\": " << (conserved ? "true" : "false")
        << ",\n";
     os << "  \"points\": [";
@@ -429,209 +408,6 @@ runFlowBench(const std::string &out_path, bool quick, double scale)
     return conserved ? 0 : 1;
 }
 
-/**
- * Observability-overhead bench: every grid point twice — tracing
- * disabled vs packet-level tracing + sampling kept in memory — with a
- * hard identity check on the measurements. Writes BENCH_obs.json.
- */
-int
-runObsBench(const std::string &out_path, bool quick, double scale,
-            const std::string &ref_path)
-{
-    using namespace netcrafter;
-
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
-    }
-
-    obs::TraceOptions disabled; // level Off: the compiled-in no-op path
-    obs::TraceOptions enabled;
-    enabled.level = obs::TraceLevel::Packets;
-    enabled.sampleInterval = 10'000;
-
-    struct Totals
-    {
-        std::uint64_t events = 0;
-        double wall = 0;
-    };
-    Totals off_t, on_t;
-    std::uint64_t trace_records = 0, trace_dropped = 0, sample_rows = 0;
-    bool identical = true;
-
-    // All disabled legs run contiguously before any enabled leg: the
-    // enabled runs touch a ~128 MB record buffer each, and interleaving
-    // that churn with the disabled measurements used to depress them by
-    // far more than the 2% budget the --ref comparison checks.
-    std::vector<RunResult> off_results;
-    for (const auto &[cfg_name, cfg] : configs)
-        for (const auto &app : bench::apps())
-            off_results.push_back(
-                harness::runWorkload(app, cfg, scale, 1, disabled));
-
-    std::size_t point = 0;
-    for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
-            const RunResult &off = off_results[point++];
-            const RunResult on =
-                harness::runWorkload(app, cfg, scale, 1, enabled);
-            off_t.events += off.events;
-            off_t.wall += off.wallSeconds;
-            on_t.events += on.events;
-            on_t.wall += on.wallSeconds;
-            trace_records += on.traceRecords;
-            trace_dropped += on.traceDropped;
-            sample_rows += on.sampleRows;
-            if (!harness::sameMeasurement(off, on)) {
-                std::cerr << "perf_hotpath --obs: tracing CHANGED the "
-                             "measurement at "
-                          << cfg_name << "/" << app << "\n";
-                identical = false;
-            }
-            std::cerr << cfg_name << "/" << app << ": "
-                      << eventsPerSecond(off.events, off.wallSeconds)
-                      << " ev/s off, "
-                      << eventsPerSecond(on.events, on.wallSeconds)
-                      << " ev/s on (" << on.traceRecords
-                      << " records)\n";
-        }
-    }
-
-    // Third leg: tracing off but the live-telemetry sampler running
-    // (heartbeat stream + armed phase profiling). The sampler only
-    // reads relaxed atomics the simulation publishes anyway, so the
-    // measurements must stay bit-identical to the disabled leg.
-    Totals tel_t;
-    bool telemetry_identical = true;
-    const std::string heartbeat_path = out_path + ".heartbeat.ndjson";
-    {
-        obs::TelemetryOptions topts;
-        topts.heartbeatPath = heartbeat_path;
-        topts.intervalMs = 50;
-        obs::Telemetry::instance().start(topts);
-    }
-    point = 0;
-    for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
-            const RunResult &off = off_results[point++];
-            const RunResult tel =
-                harness::runWorkload(app, cfg, scale, 1, disabled);
-            tel_t.events += tel.events;
-            tel_t.wall += tel.wallSeconds;
-            if (!harness::sameMeasurement(off, tel)) {
-                std::cerr << "perf_hotpath --obs: telemetry CHANGED "
-                             "the measurement at "
-                          << cfg_name << "/" << app << "\n";
-                telemetry_identical = false;
-            }
-        }
-    }
-    obs::Telemetry::instance().stop(); // final heartbeat lands first
-    const std::uint64_t heartbeat_records =
-        obs::Telemetry::instance().heartbeats();
-
-    // Optional reference: the disabled path against a plain
-    // BENCH_hotpath.json from the same machine. Informational — wall
-    // clock noise on shared CI runners is larger than the 2% budget,
-    // so the hard gate stays measurements_identical.
-    double ref_evps = 0;
-    bool have_ref = false, within_2pct = false;
-    if (!ref_path.empty()) {
-        std::ifstream is(ref_path);
-        std::ostringstream text;
-        text << is.rdbuf();
-        obs::JsonValue root;
-        std::string err;
-        if (is && obs::parseJson(text.str(), root, &err)) {
-            if (const obs::JsonValue *v =
-                    root.find("events_per_second");
-                v != nullptr && v->isNumber()) {
-                ref_evps = v->number;
-                have_ref = ref_evps > 0;
-            }
-        }
-        if (!have_ref) {
-            std::cerr << "perf_hotpath --obs: cannot read "
-                         "events_per_second from '"
-                      << ref_path << "' (ignored)\n";
-        } else {
-            within_2pct = eventsPerSecond(off_t.events, off_t.wall) >=
-                          0.98 * ref_evps;
-        }
-    }
-
-    std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "cannot open " << out_path << " for writing\n";
-        return 1;
-    }
-    os.precision(17);
-    os << "{\n";
-    os << "  \"bench\": \"perf_obs\",\n";
-    os << "  \"workload_set\": \"fig14\",\n";
-    os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-    os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
-    os << "  \"trace_level\": \""
-       << obs::TraceOptions::levelName(enabled.level) << "\",\n";
-    os << "  \"sample_interval\": " << enabled.sampleInterval << ",\n";
-    os << "  \"measurements_identical\": "
-       << (identical ? "true" : "false") << ",\n";
-    os << "  \"telemetry_identical\": "
-       << (telemetry_identical ? "true" : "false") << ",\n";
-    os << "  \"disabled\": {\"events\": " << off_t.events
-       << ", \"wall_seconds\": " << off_t.wall
-       << ", \"events_per_second\": "
-       << eventsPerSecond(off_t.events, off_t.wall) << "},\n";
-    os << "  \"enabled\": {\"events\": " << on_t.events
-       << ", \"wall_seconds\": " << on_t.wall
-       << ", \"events_per_second\": "
-       << eventsPerSecond(on_t.events, on_t.wall)
-       << ", \"trace_records\": " << trace_records
-       << ", \"trace_dropped\": " << trace_dropped
-       << ", \"sample_rows\": " << sample_rows << "},\n";
-    os << "  \"telemetry\": {\"events\": " << tel_t.events
-       << ", \"wall_seconds\": " << tel_t.wall
-       << ", \"events_per_second\": "
-       << eventsPerSecond(tel_t.events, tel_t.wall)
-       << ", \"heartbeat_records\": " << heartbeat_records
-       << ", \"heartbeat_path\": \""
-       << exp::jsonEscape(heartbeat_path) << "\"},\n";
-    os << "  \"enabled_over_disabled_wall\": "
-       << (off_t.wall > 0 ? on_t.wall / off_t.wall : 0.0) << ",\n";
-    os << "  \"telemetry_over_disabled_wall\": "
-       << (off_t.wall > 0 ? tel_t.wall / off_t.wall : 0.0) << ",\n";
-    os << "  \"ref\": "
-       << (ref_path.empty() ? std::string("null")
-                            : "\"" + exp::jsonEscape(ref_path) + "\"")
-       << ",\n";
-    os << "  \"ref_events_per_second\": " << ref_evps << ",\n";
-    os << "  \"disabled_within_2pct_of_ref\": "
-       << (have_ref && within_2pct ? "true" : "false") << "\n";
-    os << "}\n";
-
-    std::cout << "perf_hotpath --obs: "
-              << (identical && telemetry_identical
-                      ? "measurements identical"
-                      : "MEASUREMENTS DIVERGED")
-              << ", " << eventsPerSecond(off_t.events, off_t.wall)
-              << " ev/s disabled vs "
-              << eventsPerSecond(on_t.events, on_t.wall)
-              << " ev/s traced vs "
-              << eventsPerSecond(tel_t.events, tel_t.wall)
-              << " ev/s telemetry, " << trace_records << " records, "
-              << heartbeat_records << " heartbeats (JSON: " << out_path
-              << ")\n";
-    return identical && telemetry_identical ? 0 : 1;
-}
-
 } // namespace
 
 int
@@ -640,137 +416,36 @@ main(int argc, char **argv)
     using namespace netcrafter;
 
     std::string out_path;
-    std::string ref_path;
     bool quick = false;
     bool shard_bench = false;
-    bool obs_bench = false;
     bool flow_bench = false;
     double scale = 1.0;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--out" && i + 1 < argc) {
             out_path = argv[++i];
-        } else if (arg == "--ref" && i + 1 < argc) {
-            ref_path = argv[++i];
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--shards") {
             shard_bench = true;
-        } else if (arg == "--obs") {
-            obs_bench = true;
         } else if (arg == "--flow") {
             flow_bench = true;
         } else if (arg == "--scale" && i + 1 < argc) {
-            const std::string value = argv[++i];
-            char *end = nullptr;
-            scale = std::strtod(value.c_str(), &end);
-            if (end != value.c_str() + value.size() || scale <= 0.0 ||
-                !std::isfinite(scale)) {
-                std::cerr << "perf_hotpath: --scale must be a positive "
-                             "finite number, got '" << value << "'\n";
-                return 1;
-            }
+            scale = harness::parseScaleEnv(argv[++i], "--scale");
         } else {
-            std::cerr << "usage: perf_hotpath [--out FILE] [--quick]"
-                         " [--scale S] [--shards] [--obs [--ref FILE]]"
-                         " [--flow]\n";
+            std::cerr << "usage: perf_hotpath --shards|--flow [--out FILE]"
+                         " [--quick] [--scale S]\n";
             return 2;
         }
     }
-    if (shard_bench + obs_bench + flow_bench > 1) {
-        std::cerr << "perf_hotpath: --shards, --obs and --flow are "
-                     "exclusive\n";
+    if (shard_bench == flow_bench) {
+        std::cerr << "perf_hotpath: give exactly one of --shards and "
+                     "--flow\n";
         return 2;
     }
-    if (out_path.empty()) {
-        out_path = shard_bench ? "BENCH_parallel.json"
-                   : obs_bench ? "BENCH_obs.json"
-                   : flow_bench ? "BENCH_flow.json"
-                                : "BENCH_hotpath.json";
-    }
-    if (shard_bench)
-        return runShardBench(out_path, quick, scale);
-    if (obs_bench)
-        return runObsBench(out_path, quick, scale, ref_path);
-    if (flow_bench)
-        return runFlowBench(out_path, quick, scale);
-
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
-    }
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<Point> points;
-    std::uint64_t total_events = 0;
-    double total_wall = 0;
-    for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
-            Point p;
-            p.config = cfg_name;
-            p.workload = app;
-            p.result = harness::runWorkload(app, cfg, scale);
-            total_events += p.result.events;
-            total_wall += p.result.wallSeconds;
-            std::cerr << cfg_name << "/" << app << ": "
-                      << p.result.events << " events in "
-                      << p.result.wallSeconds << "s ("
-                      << eventsPerSecond(p.result.events,
-                                         p.result.wallSeconds)
-                      << " ev/s)\n";
-            points.push_back(std::move(p));
-        }
-    }
-    const double harness_wall =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-
-    std::ofstream os(out_path);
-    if (!os) {
-        std::cerr << "cannot open " << out_path << " for writing\n";
-        return 1;
-    }
-    os.precision(17);
-    os << "{\n";
-    os << "  \"bench\": \"perf_hotpath\",\n";
-    os << "  \"workload_set\": \"fig14\",\n";
-    os << "  \"quick\": " << (quick ? "true" : "false") << ",\n";
-    os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
-    os << "  \"points\": [";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-        const Point &p = points[i];
-        os << (i ? ",\n    {" : "\n    {");
-        os << "\"config\": \"" << exp::jsonEscape(p.config) << "\", "
-           << "\"workload\": \"" << exp::jsonEscape(p.workload)
-           << "\", "
-           << "\"cycles\": " << p.result.cycles << ", "
-           << "\"events\": " << p.result.events << ", "
-           << "\"wall_seconds\": " << p.result.wallSeconds << ", "
-           << "\"events_per_second\": "
-           << eventsPerSecond(p.result.events, p.result.wallSeconds)
-           << "}";
-    }
-    os << "\n  ],\n";
-    os << "  \"total_events\": " << total_events << ",\n";
-    os << "  \"total_wall_seconds\": " << total_wall << ",\n";
-    os << "  \"harness_wall_seconds\": " << harness_wall << ",\n";
-    os << "  \"events_per_second\": "
-       << eventsPerSecond(total_events, total_wall) << "\n";
-    os << "}\n";
-
-    std::cout << "perf_hotpath: " << total_events << " events in "
-              << total_wall << "s -> "
-              << eventsPerSecond(total_events, total_wall)
-              << " events/sec (" << points.size() << " points, JSON: "
-              << out_path << ")\n";
-    return 0;
+    if (out_path.empty())
+        out_path = shard_bench ? "BENCH_parallel.json" : "BENCH_flow.json";
+    const RunOptions env = RunOptions::fromEnv();
+    return shard_bench ? runShardBench(out_path, quick, scale, env)
+                       : runFlowBench(out_path, quick, scale, env);
 }

@@ -28,8 +28,9 @@
  * 3x the low-load p99) is actually reachable; the per-config knee is
  * reported in the JSON either way ("null" when not reached).
  *
- * Exits non-zero when any point breaks bit-identity across shard
- * counts or reports unordered percentiles.
+ * Threads, fidelity and tracing come from the environment
+ * (harness::RunOptions::fromEnv). Exits non-zero when any point breaks
+ * bit-identity across shard counts or reports unordered percentiles.
  */
 
 #include <chrono>
@@ -43,6 +44,8 @@
 
 #include "bench/bench_common.hh"
 #include "src/exp/export.hh"
+#include "src/exp/figures.hh"
+#include "src/harness/runner.hh"
 #include "src/serve/serve_config.hh"
 #include "src/sim/logging.hh"
 
@@ -105,7 +108,7 @@ main(int argc, char **argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::atof(argv[++i]);
+            scale = harness::parseScaleEnv(argv[++i], "--scale");
         } else {
             std::cerr << "usage: serve_saturation [--out FILE] "
                          "[--quick] [--scale S]\n";
@@ -114,6 +117,12 @@ main(int argc, char **argv)
     }
 
     const bool long_window = serveLongFromEnv();
+    const harness::RunOptions env = harness::RunOptions::fromEnv();
+    harness::RunOptions serial = env;
+    serial.scale = scale * env.scale;
+    serial.shards = 1;
+    harness::RunOptions two_shards = serial;
+    two_shards.shards = 2;
     // The determinism leg runs every point at 2 shards.
     const std::string note =
         bench::undersubscribedNote("serve_saturation", 2);
@@ -134,7 +143,7 @@ main(int argc, char **argv)
                       : std::vector<double>{2, 4, 6, 8};
     const std::vector<std::pair<std::string, config::SystemConfig>>
         configs = {{"baseline", config::baselineConfig()},
-                   {"netcrafter", bench::fullNetcrafter()}};
+                   {"netcrafter", exp::fullNetcrafter()}};
 
     bool all_ok = true;
     std::vector<Point> points;
@@ -148,12 +157,12 @@ main(int argc, char **argv)
             p.load = load;
 
             auto t0 = std::chrono::steady_clock::now();
-            p.serial = harness::runServe(point_sc, cfg, scale, 1);
+            p.serial = harness::runServe(point_sc, cfg, serial);
             p.wallSerial = seconds(t0);
 
             t0 = std::chrono::steady_clock::now();
             const harness::RunResult sharded =
-                harness::runServe(point_sc, cfg, scale, 2);
+                harness::runServe(point_sc, cfg, two_shards);
             p.wallSharded = seconds(t0);
 
             p.identical = harness::sameMeasurement(p.serial, sharded);
@@ -231,7 +240,7 @@ main(int argc, char **argv)
     }
     os << "},\n";
     os << "  \"scale\": " << scale << ",\n";
-    os << "  \"env_scale\": " << harness::envScale() << ",\n";
+    os << "  \"env_scale\": " << env.scale << ",\n";
     os << "  \"host_cpus\": " << host_cpus << ",\n";
     os << "  \"notes\": \"" << exp::jsonEscape(note) << "\",\n";
     os << "  \"shard_identical\": " << (all_ok ? "true" : "false")

@@ -34,10 +34,11 @@ main(int argc, char **argv)
     std::cout << "Simulating " << workload << " (scale " << scale
               << ") on the baseline non-uniform system...\n";
     harness::RunResult base =
-        harness::runWorkload(workload, baseline, scale);
+        harness::runWorkload(workload, baseline, {.scale = scale});
 
     std::cout << "Simulating " << workload << " with NetCrafter...\n\n";
-    harness::RunResult nc = harness::runWorkload(workload, crafted, scale);
+    harness::RunResult nc =
+        harness::runWorkload(workload, crafted, {.scale = scale});
 
     harness::Table table({"metric", "baseline", "netcrafter"});
     table.addRow({"cycles", std::to_string(base.cycles),

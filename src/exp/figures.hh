@@ -1,13 +1,13 @@
 /**
  * @file
- * Declarative figure definitions. Each migrated figure of the paper's
- * evaluation is a named entry that (1) declares its sweep — every
- * (workload, config, scale) point it needs — and (2) renders the
- * paper's rows from the collected results. The sweep runs through a
- * Scheduler, so figures share a ResultCache (the baseline is simulated
- * once per process, not once per figure) and parallelize across cores,
- * while the printed output stays byte-identical to the legacy serial
- * binaries.
+ * Declarative figure definitions. Every table and figure of the paper's
+ * evaluation (Tables 1 and 3, Figures 3-22) and the ablation study is a
+ * named entry that (1) declares its sweeps — every (workload, config,
+ * scale) point it needs — and (2) renders the paper's rows from the
+ * collected results. The sweeps run through one Scheduler, so figures
+ * share a ResultCache (the baseline is simulated once per process, not
+ * once per figure) and parallelize across cores, while the printed
+ * rows stay byte-identical to a serial run.
  */
 
 #ifndef NETCRAFTER_EXP_FIGURES_HH
@@ -31,32 +31,21 @@ struct FigureContext
     std::ostream &out;
 };
 
-/** One reproducible figure of the evaluation. */
+/** One reproducible table or figure of the evaluation. */
 struct Figure
 {
-    const char *name;    // short id, e.g. "fig14"
+    const char *name;    // short id, e.g. "fig14" or "table3"
     const char *caption; // banner caption
     void (*run)(FigureContext &ctx);
 };
 
-/** Every migrated figure, in paper order. */
+/** Every table and figure, in paper order, then the ablation. */
 const std::vector<Figure> &figureRegistry();
 
 /** Figure by short id; null when unknown. */
 const Figure *findFigure(const std::string &name);
 
-/**
- * Entry point for the per-figure binaries: run one figure on stdout
- * with a private cache. Worker count comes from NETCRAFTER_JOBS
- * (default: one per hardware thread) and the intra-run shard count
- * from NETCRAFTER_SHARDS (default 1 = serial); the argv form also
- * accepts `--jobs N` and `--shards N`, which take precedence over the
- * environment. Returns a process exit code.
- */
-int figureMain(const std::string &name);
-int figureMain(const std::string &name, int argc, char **argv);
-
-// --- Shared helpers (previously in bench/bench_common.hh) -------------
+// --- Shared configurations and printing helpers -----------------------
 
 /** Baseline + Stitching with Selective Flit Pooling at the sweet spot. */
 config::SystemConfig stitchSelective32();
@@ -66,6 +55,9 @@ config::SystemConfig stitchTrim();
 
 /** The full NetCrafter design point (adds Sequencing). */
 config::SystemConfig fullNetcrafter();
+
+/** Figure 14's design points: base, stitch, trim, full, sector. */
+std::vector<ConfigPoint> fig14Configs();
 
 /** Print the standard figure banner. */
 void banner(std::ostream &os, const std::string &fig,

@@ -3,9 +3,10 @@
 namespace netcrafter::exp {
 
 CacheKey
-keyOf(const Job &job, flow::Fidelity fidelity)
+keyOf(const Job &job, flow::Fidelity fidelity, double base_scale)
 {
-    return CacheKey{job.workload, job.config.digest(), job.scale,
+    return CacheKey{job.workload, job.config.digest(),
+                    base_scale * job.scale,
                     job.serve.digest(), fidelity};
 }
 

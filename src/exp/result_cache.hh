@@ -33,6 +33,9 @@ struct CacheKey
 {
     std::string workload;
     std::uint64_t configDigest = 0;
+
+    /** Problem-size multiplier actually simulated (the scheduler's
+     *  base scale times the job's own). */
     double scale = 1.0;
 
     /**
@@ -69,9 +72,11 @@ struct CacheKey
     }
 };
 
-/** The key identifying @p job's simulation point at @p fidelity. */
+/** The key identifying @p job's simulation point at @p fidelity when
+ *  run under a scheduler whose base scale is @p base_scale. */
 CacheKey keyOf(const Job &job,
-               flow::Fidelity fidelity = flow::Fidelity::Cycle);
+               flow::Fidelity fidelity = flow::Fidelity::Cycle,
+               double base_scale = 1.0);
 
 class ResultCache
 {

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "src/config/exec_config.hh"
 #include "src/obs/telemetry.hh"
 #include "src/sim/logging.hh"
 
@@ -47,22 +46,13 @@ Scheduler::runJob(const Job &job, JobTiming &timing)
     const auto t0 = std::chrono::steady_clock::now();
     timing.startSeconds =
         std::chrono::duration<double>(t0 - epoch_).count();
-    // With tracing requested the explicit options override the
-    // NETCRAFTER_TRACE_* environment; fidelity always comes from the
-    // options (whose default already consulted NETCRAFTER_FIDELITY).
+    harness::RunOptions run = opts_;
+    run.scale *= job.scale;
+    run.shards = shards_;
     auto simulate = [&] {
-        const obs::TraceOptions trace = opts_.trace.enabled()
-                                            ? opts_.trace
-                                            : obs::TraceOptions::fromEnv();
-        const sim::ExecPolicy exec = config::execPolicyFromEnv();
-        if (job.serve.enabled) {
-            return harness::runServe(job.serve, job.config, job.scale,
-                                     shards_, trace, exec,
-                                     opts_.fidelity);
-        }
-        return harness::runWorkload(job.workload, job.config, job.scale,
-                                    shards_, trace, exec,
-                                    opts_.fidelity);
+        if (job.serve.enabled)
+            return harness::runServe(job.serve, job.config, run);
+        return harness::runWorkload(job.workload, job.config, run);
     };
     harness::RunResult result;
     if (cache_ != nullptr) {
@@ -71,8 +61,8 @@ Scheduler::runJob(const Job &job, JobTiming &timing)
         // bit-identical across shard counts. Fidelity, by contrast, is
         // part of the key — approximate results must never answer an
         // exact request.
-        result = cache_->getOrRun(keyOf(job, opts_.fidelity), simulate,
-                                  &timing.cacheHit);
+        result = cache_->getOrRun(keyOf(job, run.fidelity, opts_.scale),
+                                  simulate, &timing.cacheHit);
     } else {
         result = simulate();
     }
@@ -168,6 +158,7 @@ Scheduler::run(const SweepSpec &spec)
     for (std::size_t i = 0; i < spec.size(); ++i) {
         Job qualified = spec.jobs()[i];
         qualified.name = spec.name() + "/" + qualified.name;
+        qualified.scale *= opts_.scale;
         history_.emplace_back(std::move(qualified), out.results[i]);
     }
     timingHistory_.reserve(timingHistory_.size() + spec.size());

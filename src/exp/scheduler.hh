@@ -81,41 +81,29 @@ enum class ProgressMode
     Live,
 };
 
-struct SchedulerOptions
+/**
+ * How a Scheduler runs its sweeps. The inherited harness::RunOptions
+ * apply to every job: @c scale multiplies each Job's own scale,
+ * @c trace, @c exec and @c fidelity pass through, and @c shards is the
+ * engine shard count per simulation (0 or 1 = serial). With shards > 1
+ * each job occupies up to @c shards host threads, so the default
+ * worker count is divided by the shard count — run-level workers times
+ * intra-run shards never oversubscribes the machine. When tracing is
+ * on, jobs satisfied from the result cache produce no trace files (no
+ * simulation ran). Scale and fidelity are part of the cache key: jobs
+ * at different effective scales or fidelities never share results.
+ */
+struct SchedulerOptions : harness::RunOptions
 {
-    /** Worker threads; 0 = one per hardware thread. */
+    /** Worker threads; 0 = one per hardware thread (an explicit value
+     *  is honored as given). */
     unsigned workers = 0;
-
-    /**
-     * Engine shards per simulation (see sim::ShardedEngine); 0 or 1 =
-     * serial. With shards > 1 each job occupies up to @p shards host
-     * threads, so the default worker count is divided by the shard
-     * count — run-level workers times intra-run shards never
-     * oversubscribes the machine. An explicit @p workers value is
-     * honored as given.
-     */
-    unsigned shards = 1;
 
     /** Progress reporting; see ProgressMode. */
     ProgressMode progress = ProgressMode::Off;
 
     /** Progress sink; null = std::cerr. */
     std::ostream *log = nullptr;
-
-    /**
-     * Trace options handed to every simulated job. Disabled by default;
-     * when enabled, jobs satisfied from the result cache still produce
-     * no trace files (no simulation ran).
-     */
-    obs::TraceOptions trace{};
-
-    /**
-     * Simulation fidelity for every job. Defaults to the validated
-     * NETCRAFTER_FIDELITY environment (unset = cycle-accurate). Part
-     * of the cache key: jobs running at different fidelities never
-     * share results.
-     */
-    flow::Fidelity fidelity = flow::fidelityFromEnv();
 
     /** Accepted and ignored (see sim::SyncPolicy). */
     sim::SyncPolicy sync{};
@@ -147,7 +135,8 @@ class Scheduler
      * Every job this scheduler has run, across all sweeps, in spec
      * order. Job names are sweep-qualified ("<sweep>/<job>") so the
      * same design point stays distinguishable when several figures
-     * share it.
+     * share it, and each Job's scale is the one simulated (the
+     * options' scale times the job's own).
      */
     const std::vector<std::pair<Job, harness::RunResult>> &
     history() const

@@ -34,7 +34,7 @@ struct Job
 
     config::SystemConfig config;
 
-    /** Extra problem-size multiplier on top of envScale(). */
+    /** Problem-size multiplier on top of the scheduler's scale. */
     double scale = 1.0;
 
     /**

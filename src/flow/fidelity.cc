@@ -43,15 +43,6 @@ parseFidelityOrDie(const std::string &text, const char *what)
     return *parsed;
 }
 
-Fidelity
-fidelityFromEnv(Fidelity fallback)
-{
-    const char *text = std::getenv("NETCRAFTER_FIDELITY");
-    if (text == nullptr || *text == '\0')
-        return fallback;
-    return parseFidelityOrDie(text, "NETCRAFTER_FIDELITY");
-}
-
 std::uint64_t
 parseFlowEpochTicksEnv(const char *text)
 {

@@ -53,14 +53,6 @@ std::optional<Fidelity> parseFidelity(const std::string &text);
 Fidelity parseFidelityOrDie(const std::string &text, const char *what);
 
 /**
- * Fidelity requested through the NETCRAFTER_FIDELITY environment
- * variable; @p fallback when unset. Garbage values are fatal, not
- * ignored: a sweep silently running at the wrong fidelity is far worse
- * than an early exit.
- */
-Fidelity fidelityFromEnv(Fidelity fallback = Fidelity::Cycle);
-
-/**
  * Parse one NETCRAFTER_FLOW_EPOCH_TICKS value: the hybrid/flow lane
  * classification epoch length in ticks, >= 1 (capped at 2^30). Zero,
  * negatives, and garbage are fatal.

@@ -8,7 +8,6 @@
 #include <sstream>
 #include <vector>
 
-#include "src/config/exec_config.hh"
 #include "src/gpu/system.hh"
 #include "src/obs/chrome_trace.hh"
 #include "src/serve/session.hh"
@@ -244,35 +243,56 @@ finishTiming(RunResult &r,
     }
 }
 
+/**
+ * Parse one NETCRAFTER_THREADS value: 0 (one thread per shard) or a
+ * positive executor-thread count (capped at 65536; the engine clamps
+ * to the shard count). Negative numbers and garbage are fatal.
+ */
+unsigned
+parseThreadsEnv(const char *text)
+{
+    char *end = nullptr;
+    const long v = std::strtol(text, &end, 10);
+    // 0 is legal: one thread per shard, the default mapping.
+    if (end == text || *end != '\0' || v < 0 || v > (1L << 16)) {
+        NC_FATAL("NETCRAFTER_THREADS must be 0 (one per shard) or a "
+                 "positive executor-thread count, got '", text, "'");
+    }
+    return static_cast<unsigned>(v);
+}
+
 } // namespace
 
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards)
+RunOptions
+RunOptions::fromEnv()
 {
-    return runWorkload(workload_name, cfg, scale, shards,
-                       obs::TraceOptions::fromEnv(),
-                       config::execPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace)
-{
-    return runWorkload(workload_name, cfg, scale, shards, trace,
-                       config::execPolicyFromEnv());
-}
-
-RunResult
-runWorkload(const std::string &workload_name,
-            const config::SystemConfig &cfg, double scale,
-            unsigned shards, const obs::TraceOptions &trace,
-            const sim::ExecPolicy &exec)
-{
-    return runWorkload(workload_name, cfg, scale, shards, trace, exec,
-                       flow::fidelityFromEnv());
+    RunOptions o;
+    if (const char *env = std::getenv("NETCRAFTER_SCALE"))
+        o.scale = parseScaleEnv(env);
+    if (const char *env = std::getenv("NETCRAFTER_SHARDS"))
+        o.shards = parseShardsEnv(env);
+    if (const char *env = std::getenv("NETCRAFTER_THREADS"))
+        o.exec.threads = parseThreadsEnv(env);
+    // An empty fidelity counts as unset, not as garbage.
+    if (const char *env = std::getenv("NETCRAFTER_FIDELITY");
+        env != nullptr && *env != '\0')
+        o.fidelity = flow::parseFidelityOrDie(env, "NETCRAFTER_FIDELITY");
+    if (const char *env = std::getenv("NETCRAFTER_TRACE_OUT"))
+        o.trace.outDir = env;
+    if (const char *env = std::getenv("NETCRAFTER_SAMPLE_INTERVAL")) {
+        char *end = nullptr;
+        const unsigned long long v = std::strtoull(env, &end, 10);
+        if (end == env || *end != '\0') {
+            NC_FATAL("NETCRAFTER_SAMPLE_INTERVAL must be a "
+                     "non-negative tick count, got '", env, "'");
+        }
+        o.trace.sampleInterval = static_cast<Tick>(v);
+    }
+    if (const char *env = std::getenv("NETCRAFTER_TRACE_LEVEL"))
+        o.trace.level = obs::TraceOptions::parseLevel(env);
+    else if (!o.trace.outDir.empty() || o.trace.sampleInterval > 0)
+        o.trace.level = obs::TraceLevel::Packets;
+    return o;
 }
 
 RunResult
@@ -282,66 +302,45 @@ runWorkload(const std::string &workload_name,
             const sim::ExecPolicy &exec, flow::Fidelity fidelity,
             const sim::SyncPolicy & /*sync*/)
 {
+    return runWorkload(workload_name, cfg,
+                       RunOptions{scale, shards, trace, exec, fidelity});
+}
+
+RunResult
+runWorkload(const std::string &workload_name,
+            const config::SystemConfig &cfg, const RunOptions &opts)
+{
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
     auto workload = workloads::makeWorkload(workload_name);
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
-    system.run(*workload, scale * envScale());
+    gpu::MultiGpuSystem system(cfg, opts.shards, opts.trace, opts.exec,
+                               opts.fidelity);
+    system.run(*workload, opts.scale);
 
     RunResult r;
     r.workload = workload_name;
     collectSystemStats(r, system, cfg);
     r.warningsSuppressed = netcrafter::suppressedWarnCount() - warn0;
-    exportTraceArtifacts(r, system, trace, workload_name, cfg, scale);
+    exportTraceArtifacts(r, system, opts.trace, workload_name, cfg,
+                         opts.scale);
     finishTiming(r, t_start);
     return r;
 }
 
 RunResult
 runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards)
-{
-    return runServe(serve, cfg, scale, shards,
-                    obs::TraceOptions::fromEnv(),
-                    config::execPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace)
-{
-    return runServe(serve, cfg, scale, shards, trace,
-                    config::execPolicyFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec)
-{
-    return runServe(serve, cfg, scale, shards, trace, exec,
-                    flow::fidelityFromEnv());
-}
-
-RunResult
-runServe(const serve::ServeConfig &serve,
-         const config::SystemConfig &cfg, double scale,
-         unsigned shards, const obs::TraceOptions &trace,
-         const sim::ExecPolicy &exec, flow::Fidelity fidelity,
-         const sim::SyncPolicy & /*sync*/)
+         const config::SystemConfig &cfg, const RunOptions &opts)
 {
     NC_ASSERT(serve.enabled, "runServe with serving disabled");
     obs::Telemetry::instance().ensureStartedFromEnv();
     const auto t_start = std::chrono::steady_clock::now();
     const std::uint64_t warn0 = netcrafter::suppressedWarnCount();
 
-    gpu::MultiGpuSystem system(cfg, shards, trace, exec, fidelity);
-    serve::ServeSession session(system, serve, scale * envScale());
+    gpu::MultiGpuSystem system(cfg, opts.shards, opts.trace, opts.exec,
+                               opts.fidelity);
+    serve::ServeSession session(system, serve, opts.scale);
     const serve::ServeReport report = session.run();
     if (report.status != sim::RunStatus::Drained) {
         NC_FATAL("serving run (", serve.toString(),
@@ -375,7 +374,8 @@ runServe(const serve::ServeConfig &serve,
         r.serveClasses[c] = toResult(report.perClass[c]);
     r.serveClasses[3] = toResult(report.aggregate);
 
-    exportTraceArtifacts(r, system, trace, r.workload, cfg, scale);
+    exportTraceArtifacts(r, system, opts.trace, r.workload, cfg,
+                         opts.scale);
     finishTiming(r, t_start);
     return r;
 }
@@ -394,13 +394,13 @@ geomean(const std::vector<double> &xs)
 }
 
 double
-parseScaleEnv(const char *text)
+parseScaleEnv(const char *text, const char *what)
 {
     char *end = nullptr;
     const double v = std::strtod(text, &end);
     if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-        NC_FATAL("NETCRAFTER_SCALE must be a positive finite number, "
-                 "got '", text, "'");
+        NC_FATAL(what, " must be a positive finite number, got '", text,
+                 "'");
     }
     return v;
 }
@@ -417,80 +417,6 @@ parseShardsEnv(const char *text)
                  "got '", text, "'");
     }
     return static_cast<unsigned>(v);
-}
-
-double
-parseServeLoadEnv(const char *text)
-{
-    char *end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-        NC_FATAL("NETCRAFTER_SERVE_LOAD must be a positive finite "
-                 "requests-per-kilocycle rate, got '", text, "'");
-    }
-    return v;
-}
-
-Tick
-parseServeTicksEnv(const char *text, const char *var)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1) {
-        NC_FATAL(var, " must be a positive tick count, got '", text,
-                 "'");
-    }
-    return static_cast<Tick>(v);
-}
-
-std::uint64_t
-parseServeSeedEnv(const char *text)
-{
-    // strtoull silently wraps negatives, so reject a leading '-'
-    // explicitly.
-    if (text[0] == '-')
-        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
-                 "integer, got '", text, "'");
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(text, &end, 10);
-    if (end == text || *end != '\0') {
-        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
-                 "integer, got '", text, "'");
-    }
-    return static_cast<std::uint64_t>(v);
-}
-
-void
-applyServeEnv(serve::ServeConfig &serve)
-{
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_LOAD"))
-        serve.offeredLoad = parseServeLoadEnv(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_ARRIVAL"))
-        serve.arrival = serve::parseArrivalKind(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_MIX"))
-        serve.mix = serve::parseClassMix(env);
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_WARMUP")) {
-        serve.warmupTicks =
-            parseServeTicksEnv(env, "NETCRAFTER_SERVE_WARMUP");
-    }
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_MEASURE")) {
-        serve.measureTicks =
-            parseServeTicksEnv(env, "NETCRAFTER_SERVE_MEASURE");
-    }
-    if (const char *env = std::getenv("NETCRAFTER_SERVE_SEED"))
-        serve.seed = parseServeSeedEnv(env);
-}
-
-double
-envScale()
-{
-    // The getenv lookup and validation run once; every runWorkload call
-    // afterwards reuses the cached value.
-    static const double scale = [] {
-        const char *env = std::getenv("NETCRAFTER_SCALE");
-        return env == nullptr ? 1.0 : parseScaleEnv(env);
-    }();
-    return scale;
 }
 
 bool

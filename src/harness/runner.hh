@@ -2,7 +2,7 @@
  * @file
  * Experiment harness: runs one (workload, configuration) pair and
  * extracts every statistic the paper's figures need into a flat result
- * record, so each bench binary just sweeps configs and prints rows.
+ * record, so each figure just sweeps configs and prints rows.
  */
 
 #ifndef NETCRAFTER_HARNESS_RUNNER_HH
@@ -269,55 +269,73 @@ struct RunResult
 };
 
 /**
+ * How to run one simulation, as opposed to what it simulates (the
+ * workload and SystemConfig). Every field defaults to a plain serial,
+ * untraced, cycle-accurate run at full size; nothing here reads the
+ * environment except fromEnv().
+ */
+struct RunOptions
+{
+    /** Multiplier on per-wavefront instruction counts. */
+    double scale = 1.0;
+
+    /**
+     * Engine shards (clamped to the cluster count). Every measured
+     * field of the result is identical for every shard count — only
+     * the diagnostics differ.
+     */
+    unsigned shards = 1;
+
+    /**
+     * Tracing; off by default. When @c trace.outDir is set the run
+     * writes `<outDir>/<workload>-<digest>-s<scale>-n<shards>.{
+     * trace.json,host.trace.json,timeseries.csv,stats.json}` — sim-time
+     * and host-time Chrome traces, the interval time-series, and the
+     * lifecycle statistics.
+     */
+    obs::TraceOptions trace{};
+
+    /** Executor threads driving the shards; never changes a result. */
+    sim::ExecPolicy exec{};
+
+    /**
+     * Execution fidelity. Run metadata, not a config field: flow and
+     * hybrid runs approximate the cycle measurement, so results from
+     * different fidelities must never be conflated — exp::ResultCache
+     * keys on it.
+     */
+    flow::Fidelity fidelity = flow::Fidelity::Cycle;
+
+    /**
+     * The one reader of NETCRAFTER_SCALE, NETCRAFTER_SHARDS,
+     * NETCRAFTER_THREADS, NETCRAFTER_FIDELITY, NETCRAFTER_TRACE_OUT,
+     * NETCRAFTER_TRACE_LEVEL and NETCRAFTER_SAMPLE_INTERVAL. Unset
+     * variables keep the defaults; invalid values are fatal. Setting
+     * an output directory or sample interval without a level implies
+     * the packet tier. Tools call this once and let their flags
+     * override the result.
+     */
+    static RunOptions fromEnv();
+};
+
+/**
  * Simulate @p workload_name (a Table 3 abbreviation or "GEMM") under
- * @p cfg. @p scale multiplies per-wavefront instruction counts.
- * @p shards runs the simulation on that many engine shards (clamped to
- * the cluster count); every measured field of the result is identical
- * for every shard count — only the diagnostics differ.
+ * @p cfg, run as @p opts says.
  */
 RunResult runWorkload(const std::string &workload_name,
                       const config::SystemConfig &cfg,
-                      double scale = 1.0, unsigned shards = 1);
+                      const RunOptions &opts = {});
 
 /**
- * As above, with explicit trace options instead of the
- * NETCRAFTER_TRACE_* environment (which the 4-argument overload
- * consults). When @p trace names an output directory, the run writes
- * `<outDir>/<workload>-<digest>-s<scale>-n<shards>.{trace.json,
- * host.trace.json,timeseries.csv,stats.json}` — sim-time and host-time
- * Chrome traces, the interval time-series, and the full statistics
- * registry with the folded packet-lifecycle distributions.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace);
-
-/**
- * As above, additionally pinning the execution policy (executor thread
- * count) instead of the NETCRAFTER_THREADS environment the 4-argument
- * overload consults. The policy is an execution detail: every measured
- * field is identical for every policy.
- */
-RunResult runWorkload(const std::string &workload_name,
-                      const config::SystemConfig &cfg, double scale,
-                      unsigned shards, const obs::TraceOptions &trace,
-                      const sim::ExecPolicy &exec);
-
-/**
- * As above, additionally pinning the execution fidelity instead of the
- * validated NETCRAFTER_FIDELITY environment every other overload
- * consults (unset = cycle). Fidelity is run metadata, not a config
- * field: flow/hybrid runs approximate the cycle measurement (the
- * validation harness bounds the error), so results from different
- * fidelities must never be conflated — exp::ResultCache keys on it.
- * @p sync is accepted and ignored (see sim::SyncPolicy).
+ * Positional form of the above, kept for the benchmark under
+ * perfbench/. @p sync is accepted and ignored (see sim::SyncPolicy).
  */
 RunResult runWorkload(const std::string &workload_name,
                       const config::SystemConfig &cfg, double scale,
                       unsigned shards, const obs::TraceOptions &trace,
                       const sim::ExecPolicy &exec,
                       flow::Fidelity fidelity,
-                      const sim::SyncPolicy &sync = {});
+                      const sim::SyncPolicy &sync);
 
 /**
  * Run one open-loop serving scenario (@p serve must be enabled) on a
@@ -327,41 +345,16 @@ RunResult runWorkload(const std::string &workload_name,
  * identical for every shard count.
  */
 RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale = 1.0,
-                   unsigned shards = 1);
-
-/** As above with explicit trace options (see the runWorkload overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace);
-
-/** As above with an explicit execution policy (see runWorkload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec);
-
-/** As above with an explicit fidelity (see the runWorkload overload). */
-RunResult runServe(const serve::ServeConfig &serve,
-                   const config::SystemConfig &cfg, double scale,
-                   unsigned shards, const obs::TraceOptions &trace,
-                   const sim::ExecPolicy &exec,
-                   flow::Fidelity fidelity,
-                   const sim::SyncPolicy &sync = {});
+                   const config::SystemConfig &cfg,
+                   const RunOptions &opts = {});
 
 /** Geometric mean of a sequence of positive ratios. */
 double geomean(const std::vector<double> &xs);
 
-/**
- * Problem-size multiplier from the NETCRAFTER_SCALE environment
- * variable (default 1.0) — lets CI shrink or enlarge every experiment.
- * The lookup is cached after the first call; invalid values (anything
- * not a positive finite number) are fatal.
- */
-double envScale();
-
-/** Parse and validate one NETCRAFTER_SCALE value; NC_FATAL on bad input. */
-double parseScaleEnv(const char *text);
+/** Parse and validate one scale value; NC_FATAL names @p what on bad
+ *  input (anything not a positive finite number). */
+double parseScaleEnv(const char *text,
+                     const char *what = "NETCRAFTER_SCALE");
 
 /**
  * Parse and validate one NETCRAFTER_SHARDS value: a positive integer
@@ -370,33 +363,6 @@ double parseScaleEnv(const char *text);
  * every "parallel" benchmark lie.
  */
 unsigned parseShardsEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SERVE_LOAD value: offered load in requests per
- * kilocycle, a positive finite number. Zero, negatives, and garbage
- * are fatal.
- */
-double parseServeLoadEnv(const char *text);
-
-/**
- * Parse one NETCRAFTER_SERVE_WARMUP / NETCRAFTER_SERVE_MEASURE value
- * (@p var names the variable for the error message): a positive tick
- * count. Zero, negatives, and garbage are fatal.
- */
-Tick parseServeTicksEnv(const char *text, const char *var);
-
-/** Parse one NETCRAFTER_SERVE_SEED value: a non-negative integer. */
-std::uint64_t parseServeSeedEnv(const char *text);
-
-/**
- * Overlay the NETCRAFTER_SERVE_* environment onto @p serve:
- * _LOAD (requests/kilocycle), _ARRIVAL (poisson|uniform|bursty),
- * _MIX (read:write:ptw weights), _WARMUP / _MEASURE (ticks), and
- * _SEED. Unset variables leave the corresponding field untouched;
- * invalid values are fatal. Does not flip serve.enabled — the caller
- * (a --serve flag, a bench) decides whether serving runs at all.
- */
-void applyServeEnv(serve::ServeConfig &serve);
 
 /**
  * True when @p a and @p b report identical measurements — every field

@@ -15,7 +15,7 @@
  * Wire-up: `Telemetry::instance()` is process-global. The sweep CLI
  * starts it from flags; the harness starts it from the
  * NETCRAFTER_HEARTBEAT_* / NETCRAFTER_WATCHDOG_* environment
- * (ensureStartedFromEnv) so figure binaries and tests get heartbeats
+ * (ensureStartedFromEnv) so bench tools and tests get heartbeats
  * without plumbing. MultiGpuSystem registers its engine's board for the
  * lifetime of the system; exp::Scheduler registers a SweepProgress for
  * the lifetime of a sweep.
@@ -83,7 +83,7 @@ struct TelemetryOptions
     /**
      * Options from NETCRAFTER_HEARTBEAT_{OUT,INTERVAL_MS,TTY} and
      * NETCRAFTER_WATCHDOG_{SECS,DUMP,ABORT}, parsed once and cached
-     * (NC_FATAL on junk, same pattern as TraceOptions::fromEnv).
+     * (NC_FATAL on junk).
      */
     static const TelemetryOptions &fromEnv();
 };

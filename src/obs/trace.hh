@@ -159,14 +159,6 @@ struct TraceOptions
 
     bool enabled() const { return level != TraceLevel::Off; }
 
-    /**
-     * Options from the NETCRAFTER_TRACE_* environment, parsed once and
-     * cached (same pattern as harness::envScale). Setting
-     * NETCRAFTER_TRACE_OUT or NETCRAFTER_SAMPLE_INTERVAL without an
-     * explicit level implies level=packets.
-     */
-    static const TraceOptions &fromEnv();
-
     /** Parse "off"/"links"/"packets"/"full" (NC_FATAL on junk). */
     static TraceLevel parseLevel(const std::string &text);
 

@@ -1,7 +1,6 @@
 #include "src/obs/trace_buffer.hh"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "src/sim/logging.hh"
 
@@ -37,34 +36,6 @@ traceStageName(TraceStage stage)
       case TraceStage::FlowDeliver: return "flowDeliver";
     }
     return "(invalid)";
-}
-
-const TraceOptions &
-TraceOptions::fromEnv()
-{
-    static const TraceOptions opts = [] {
-        TraceOptions o;
-        const char *out = std::getenv("NETCRAFTER_TRACE_OUT");
-        const char *level = std::getenv("NETCRAFTER_TRACE_LEVEL");
-        const char *interval = std::getenv("NETCRAFTER_SAMPLE_INTERVAL");
-        if (out != nullptr)
-            o.outDir = out;
-        if (interval != nullptr) {
-            char *end = nullptr;
-            const unsigned long long v = std::strtoull(interval, &end, 10);
-            if (end == interval || *end != '\0') {
-                NC_FATAL("NETCRAFTER_SAMPLE_INTERVAL must be a "
-                         "non-negative tick count, got '", interval, "'");
-            }
-            o.sampleInterval = static_cast<Tick>(v);
-        }
-        if (level != nullptr)
-            o.level = parseLevel(level);
-        else if (!o.outDir.empty() || o.sampleInterval > 0)
-            o.level = TraceLevel::Packets;
-        return o;
-    }();
-    return opts;
 }
 
 TraceLevel

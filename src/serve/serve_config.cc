@@ -1,6 +1,7 @@
 #include "src/serve/serve_config.hh"
 
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
 
 #include "src/sim/logging.hh"
@@ -63,6 +64,68 @@ ServeConfig::validate() const
               "burst duty must be in (0,1], got ", burst.duty);
     NC_ASSERT(burst.meanBurst >= 1.0,
               "mean burst length must be >= 1, got ", burst.meanBurst);
+}
+
+double
+parseServeLoadEnv(const char *text)
+{
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+        NC_FATAL("NETCRAFTER_SERVE_LOAD must be a positive finite "
+                 "requests-per-kilocycle rate, got '", text, "'");
+    }
+    return v;
+}
+
+Tick
+parseServeTicksEnv(const char *text, const char *var)
+{
+    char *end = nullptr;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || v < 1) {
+        NC_FATAL(var, " must be a positive tick count, got '", text,
+                 "'");
+    }
+    return static_cast<Tick>(v);
+}
+
+std::uint64_t
+parseServeSeedEnv(const char *text)
+{
+    // strtoull silently wraps negatives, so reject a leading '-'
+    // explicitly.
+    if (text[0] == '-')
+        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
+                 "integer, got '", text, "'");
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text, &end, 10);
+    if (end == text || *end != '\0') {
+        NC_FATAL("NETCRAFTER_SERVE_SEED must be a non-negative "
+                 "integer, got '", text, "'");
+    }
+    return static_cast<std::uint64_t>(v);
+}
+
+void
+applyServeEnv(ServeConfig &serve)
+{
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_LOAD"))
+        serve.offeredLoad = parseServeLoadEnv(env);
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_ARRIVAL"))
+        serve.arrival = parseArrivalKind(env);
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_MIX"))
+        serve.mix = parseClassMix(env);
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_WARMUP")) {
+        serve.warmupTicks =
+            parseServeTicksEnv(env, "NETCRAFTER_SERVE_WARMUP");
+    }
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_MEASURE")) {
+        serve.measureTicks =
+            parseServeTicksEnv(env, "NETCRAFTER_SERVE_MEASURE");
+    }
+    if (const char *env = std::getenv("NETCRAFTER_SERVE_SEED"))
+        serve.seed = parseServeSeedEnv(env);
 }
 
 } // namespace netcrafter::serve

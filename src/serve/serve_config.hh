@@ -71,6 +71,33 @@ struct ServeConfig
     void validate() const;
 };
 
+/**
+ * Parse one NETCRAFTER_SERVE_LOAD value: offered load in requests per
+ * kilocycle, a positive finite number. Zero, negatives, and garbage
+ * are fatal.
+ */
+double parseServeLoadEnv(const char *text);
+
+/**
+ * Parse one NETCRAFTER_SERVE_WARMUP / NETCRAFTER_SERVE_MEASURE value
+ * (@p var names the variable for the error message): a positive tick
+ * count. Zero, negatives, and garbage are fatal.
+ */
+Tick parseServeTicksEnv(const char *text, const char *var);
+
+/** Parse one NETCRAFTER_SERVE_SEED value: a non-negative integer. */
+std::uint64_t parseServeSeedEnv(const char *text);
+
+/**
+ * Overlay the NETCRAFTER_SERVE_* environment onto @p serve:
+ * _LOAD (requests/kilocycle), _ARRIVAL (poisson|uniform|bursty),
+ * _MIX (read:write:ptw weights), _WARMUP / _MEASURE (ticks), and
+ * _SEED. Unset variables leave the corresponding field untouched;
+ * invalid values are fatal. Does not flip serve.enabled — the caller
+ * (a --serve flag, a bench) decides whether serving runs at all.
+ */
+void applyServeEnv(ServeConfig &serve);
+
 } // namespace netcrafter::serve
 
 #endif // NETCRAFTER_SERVE_SERVE_CONFIG_HH

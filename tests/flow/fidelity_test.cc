@@ -14,7 +14,6 @@
 #include "src/flow/fidelity.hh"
 #include "src/flow/fidelity_controller.hh"
 #include "src/harness/runner.hh"
-#include "src/obs/trace.hh"
 #include "src/sim/sharded_engine.hh"
 
 namespace netcrafter::flow {
@@ -25,11 +24,10 @@ namespace {
 harness::RunResult
 runAt(const char *workload, Fidelity fidelity, double scale = 0.05)
 {
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial{1};
     return harness::runWorkload(workload, config::baselineConfig(),
-                                scale, /*shards=*/1, no_trace, serial,
-                                fidelity);
+                                {.scale = scale,
+                                 .exec = sim::ExecPolicy{1},
+                                 .fidelity = fidelity});
 }
 
 TEST(Fidelity, NamesRoundTrip)
@@ -56,22 +54,23 @@ TEST(FidelityDeathTest, GarbageEnvironmentIsFatal)
     // A sweep silently running at the wrong fidelity is worse than an
     // early exit, so the env hook validates instead of ignoring.
     ::setenv("NETCRAFTER_FIDELITY", "approximately", 1);
-    EXPECT_DEATH((void)fidelityFromEnv(), "NETCRAFTER_FIDELITY");
+    EXPECT_DEATH((void)harness::RunOptions::fromEnv(),
+                 "NETCRAFTER_FIDELITY");
     ::unsetenv("NETCRAFTER_FIDELITY");
 }
 
 TEST(Fidelity, EnvironmentSelectsAndFallsBack)
 {
+    auto fromEnv = [] { return harness::RunOptions::fromEnv().fidelity; };
     ::setenv("NETCRAFTER_FIDELITY", "hybrid", 1);
-    EXPECT_EQ(fidelityFromEnv(), Fidelity::Hybrid);
+    EXPECT_EQ(fromEnv(), Fidelity::Hybrid);
     ::setenv("NETCRAFTER_FIDELITY", "flow", 1);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Cycle), Fidelity::Flow);
+    EXPECT_EQ(fromEnv(), Fidelity::Flow);
     ::unsetenv("NETCRAFTER_FIDELITY");
-    EXPECT_EQ(fidelityFromEnv(), Fidelity::Cycle);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Hybrid), Fidelity::Hybrid);
+    EXPECT_EQ(fromEnv(), Fidelity::Cycle);
     // Empty string counts as unset, not as garbage.
     ::setenv("NETCRAFTER_FIDELITY", "", 1);
-    EXPECT_EQ(fidelityFromEnv(Fidelity::Flow), Fidelity::Flow);
+    EXPECT_EQ(fromEnv(), Fidelity::Cycle);
     ::unsetenv("NETCRAFTER_FIDELITY");
 }
 

@@ -10,6 +10,10 @@
 namespace netcrafter::harness {
 namespace {
 
+using serve::parseServeLoadEnv;
+using serve::parseServeSeedEnv;
+using serve::parseServeTicksEnv;
+
 TEST(Table, AlignsColumns)
 {
     Table t({"name", "value"});
@@ -77,8 +81,10 @@ TEST(Geomean, NonPositiveDies)
 
 TEST(EnvScale, DefaultsToOne)
 {
-    // NETCRAFTER_SCALE is not set in the test environment.
-    EXPECT_GT(envScale(), 0.0);
+    // Run options default to full size; the environment (CI sets
+    // NETCRAFTER_SCALE) only enters through fromEnv().
+    EXPECT_EQ(RunOptions{}.scale, 1.0);
+    EXPECT_GT(RunOptions::fromEnv().scale, 0.0);
 }
 
 TEST(ParseScaleEnv, AcceptsPositiveNumbers)

@@ -21,10 +21,10 @@ namespace {
 
 constexpr double kTinyScale = 0.34;
 
+/** @p cfg shrunk onto four single-GPU clusters. */
 config::SystemConfig
-tinyMeshConfig()
+tinyMeshConfig(config::SystemConfig cfg = config::baselineConfig())
 {
-    config::SystemConfig cfg = config::baselineConfig();
     cfg.cusPerGpu = 8;
     cfg.maxWavesPerCu = 4;
     cfg.numClusters = 4;
@@ -81,11 +81,17 @@ TEST(ObsDeterminism, TraceArtifactsAreShardInvariant)
     const std::string app = "GUPS";
 
     const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1, trace);
+        harness::runWorkload(app, cfg,
+                             {.scale = kTinyScale, .shards = 1,
+                              .trace = trace});
     const harness::RunResult two =
-        harness::runWorkload(app, cfg, kTinyScale, 2, trace);
+        harness::runWorkload(app, cfg,
+                             {.scale = kTinyScale, .shards = 2,
+                              .trace = trace});
     const harness::RunResult four =
-        harness::runWorkload(app, cfg, kTinyScale, 4, trace);
+        harness::runWorkload(app, cfg,
+                             {.scale = kTinyScale, .shards = 4,
+                              .trace = trace});
 
     // The measurement itself stays shard-invariant with tracing on.
     EXPECT_TRUE(sameMeasurement(serial, two));
@@ -151,7 +157,9 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesThreadMultiplexing)
     const std::string base = fileBase(app, cfg, kTinyScale, 4);
 
     const harness::RunResult plain = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{0});
+        app, cfg,
+        {.scale = kTinyScale, .shards = 4, .trace = trace,
+         .exec = sim::ExecPolicy{0}});
     const std::string trace_plain = slurp(dir / (base + ".trace.json"));
     const std::string series_plain =
         slurp(dir / (base + ".timeseries.csv"));
@@ -160,7 +168,9 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesThreadMultiplexing)
     // Same file name — the rerun overwrites, which is exactly what
     // lets us compare the two schedules byte for byte.
     const harness::RunResult muxed = harness::runWorkload(
-        app, cfg, kTinyScale, 4, trace, sim::ExecPolicy{2});
+        app, cfg,
+        {.scale = kTinyScale, .shards = 4, .trace = trace,
+         .exec = sim::ExecPolicy{2}});
     EXPECT_EQ(muxed.workThreads, 2u);
     EXPECT_TRUE(sameMeasurement(plain, muxed));
     EXPECT_EQ(plain.traceRecords, muxed.traceRecords);
@@ -172,21 +182,25 @@ TEST(ObsDeterminism, MergedTraceOrderSurvivesThreadMultiplexing)
 
 TEST(ObsDeterminism, TracingDoesNotPerturbTheMeasurement)
 {
-    const config::SystemConfig cfg = tinyMeshConfig();
-
     obs::TraceOptions trace;
     trace.level = obs::TraceLevel::Full;
     trace.sampleInterval = 500; // in-memory only: no outDir
 
-    const harness::RunResult off =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2);
-    const harness::RunResult on =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2, trace);
+    // The baseline and full NetCrafter: the controller's stitch, trim
+    // and sequencing paths all emit trace records too.
+    for (const config::SystemConfig &cfg :
+         {tinyMeshConfig(), tinyMeshConfig(config::netcrafterConfig())}) {
+        const harness::RunResult off = harness::runWorkload(
+            "GUPS", cfg, {.scale = kTinyScale, .shards = 2});
+        const harness::RunResult on = harness::runWorkload(
+            "GUPS", cfg,
+            {.scale = kTinyScale, .shards = 2, .trace = trace});
 
-    EXPECT_TRUE(sameMeasurement(off, on));
-    EXPECT_EQ(off.traceRecords, 0u);
-    EXPECT_GT(on.traceRecords, 0u);
-    EXPECT_GT(on.sampleRows, 0u);
+        EXPECT_TRUE(sameMeasurement(off, on)) << cfg.digest();
+        EXPECT_EQ(off.traceRecords, 0u);
+        EXPECT_GT(on.traceRecords, 0u);
+        EXPECT_GT(on.sampleRows, 0u);
+    }
 }
 
 } // namespace

@@ -29,9 +29,10 @@ expectShardInvariant(const std::string &app,
                      const config::SystemConfig &cfg, unsigned shards)
 {
     const harness::RunResult serial =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
+        harness::runWorkload(app, cfg, {.scale = kTinyScale, .shards = 1});
     const harness::RunResult parallel =
-        harness::runWorkload(app, cfg, kTinyScale, shards);
+        harness::runWorkload(app, cfg,
+                             {.scale = kTinyScale, .shards = shards});
 
     EXPECT_TRUE(sameMeasurement(serial, parallel))
         << app << " diverged at " << shards << " shards: serial "
@@ -96,14 +97,16 @@ TEST(ShardedDeterminismTest, StallCensusIsThreadCountInvariant)
     config::SystemConfig cfg = shrink(config::baselineConfig());
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
-    const obs::TraceOptions no_trace;
 
     const harness::RunResult four = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{0});
+        "GUPS", cfg,
+        {.scale = kTinyScale, .shards = 4, .exec = sim::ExecPolicy{0}});
     const harness::RunResult mux = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{1});
+        "GUPS", cfg,
+        {.scale = kTinyScale, .shards = 4, .exec = sim::ExecPolicy{1}});
     const harness::RunResult two = harness::runWorkload(
-        "GUPS", cfg, kTinyScale, 4, no_trace, sim::ExecPolicy{2});
+        "GUPS", cfg,
+        {.scale = kTinyScale, .shards = 4, .exec = sim::ExecPolicy{2}});
 
     EXPECT_TRUE(sameMeasurement(four, mux));
     EXPECT_TRUE(sameMeasurement(four, two));
@@ -124,9 +127,9 @@ TEST(ShardedDeterminismTest, TwoShardsMatchFourShardsOnMesh)
     cfg.numClusters = 4;
     cfg.gpusPerCluster = 1;
     const harness::RunResult two =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 2);
+        harness::runWorkload("GUPS", cfg, {.scale = kTinyScale, .shards = 2});
     const harness::RunResult four =
-        harness::runWorkload("GUPS", cfg, kTinyScale, 3);
+        harness::runWorkload("GUPS", cfg, {.scale = kTinyScale, .shards = 3});
     EXPECT_TRUE(sameMeasurement(two, four));
 }
 

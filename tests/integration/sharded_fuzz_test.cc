@@ -77,9 +77,9 @@ class ShardedFuzz : public ::testing::TestWithParam<std::uint64_t>
 TEST_P(ShardedFuzz, EveryShardAndThreadCountMatchesSerial)
 {
     const Draw d = drawPoint(GetParam());
-    const obs::TraceOptions no_trace;
     const harness::RunResult serial = harness::runWorkload(
-        d.app, d.cfg, d.scale, 1, no_trace, sim::ExecPolicy{});
+        d.app, d.cfg,
+        {.scale = d.scale, .shards = 1, .exec = sim::ExecPolicy{}});
     EXPECT_EQ(serial.wireFlitsDelivered, serial.interFlits) << d;
 
     for (const unsigned shards : {2u, 4u}) {
@@ -90,8 +90,9 @@ TEST_P(ShardedFuzz, EveryShardAndThreadCountMatchesSerial)
             thread_counts.push_back(shards);
         for (const unsigned threads : thread_counts) {
             const harness::RunResult run =
-                harness::runWorkload(d.app, d.cfg, d.scale, shards,
-                                     no_trace, sim::ExecPolicy{threads});
+                harness::runWorkload(d.app, d.cfg,
+                                     {.scale = d.scale, .shards = shards,
+                                      .exec = sim::ExecPolicy{threads}});
             EXPECT_TRUE(sameMeasurement(serial, run))
                 << d << ": diverged at " << shards << " shards, "
                 << threads << " threads: serial " << serial.cycles

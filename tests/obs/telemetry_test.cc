@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "src/exp/export.hh"
 #include "src/harness/runner.hh"
@@ -25,10 +26,10 @@ namespace {
 
 constexpr double kTinyScale = 0.34;
 
+/** @p cfg shrunk onto four single-GPU clusters. */
 config::SystemConfig
-tinyMeshConfig()
+tinyMeshConfig(config::SystemConfig cfg = config::baselineConfig())
 {
-    config::SystemConfig cfg = config::baselineConfig();
     cfg.cusPerGpu = 8;
     cfg.maxWavesPerCu = 4;
     cfg.numClusters = 4;
@@ -83,17 +84,22 @@ validateHeartbeatFile(const std::filesystem::path &path)
 
 TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
 {
-    const config::SystemConfig cfg = tinyMeshConfig();
+    // The baseline and full NetCrafter on the same tiny mesh.
+    const std::vector<config::SystemConfig> cfgs = {
+        tinyMeshConfig(), tinyMeshConfig(config::netcrafterConfig())};
     const std::string app = "GUPS";
 
     // Baselines with the sampler off.
     ASSERT_FALSE(obs::Telemetry::instance().running());
-    const harness::RunResult off1 =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
-    const harness::RunResult off2 =
-        harness::runWorkload(app, cfg, kTinyScale, 2);
-    EXPECT_TRUE(sameMeasurement(off1, off2));
-    EXPECT_EQ(off1.phaseExecuteSeconds, 0.0); // profiling unarmed
+    std::vector<harness::RunResult> off;
+    for (const auto &cfg : cfgs) {
+        off.push_back(harness::runWorkload(
+            app, cfg, {.scale = kTinyScale, .shards = 1}));
+        const harness::RunResult off2 = harness::runWorkload(
+            app, cfg, {.scale = kTinyScale, .shards = 2});
+        EXPECT_TRUE(sameMeasurement(off.back(), off2));
+        EXPECT_EQ(off.back().phaseExecuteSeconds, 0.0); // unarmed
+    }
 
     const std::filesystem::path heartbeat =
         std::filesystem::path(::testing::TempDir()) /
@@ -106,30 +112,34 @@ TEST(TelemetrySharded, HeartbeatSamplingDoesNotPerturbTheMeasurement)
     obs::Telemetry::instance().start(opts);
     ASSERT_TRUE(obs::Telemetry::instance().running());
 
-    // Same point at 1/2/4 shards with the sampler attached, plus a
+    // Same points at 1/2/4 shards with the sampler attached, plus a
     // 4-shard run multiplexed on 2 executor threads.
-    const harness::RunResult on1 =
-        harness::runWorkload(app, cfg, kTinyScale, 1);
-    const harness::RunResult on2 =
-        harness::runWorkload(app, cfg, kTinyScale, 2);
-    const harness::RunResult on4 =
-        harness::runWorkload(app, cfg, kTinyScale, 4);
-    const harness::RunResult on4_mux = harness::runWorkload(
-        app, cfg, kTinyScale, 4, obs::TraceOptions{}, sim::ExecPolicy{2});
+    const std::vector<harness::RunOptions> runs = {
+        {.scale = kTinyScale, .shards = 1},
+        {.scale = kTinyScale, .shards = 2},
+        {.scale = kTinyScale, .shards = 4},
+        {.scale = kTinyScale, .shards = 4, .exec = sim::ExecPolicy{2}}};
+    std::vector<std::vector<harness::RunResult>> on(cfgs.size());
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        for (const auto &run : runs)
+            on[c].push_back(harness::runWorkload(app, cfgs[c], run));
+    }
 
     obs::Telemetry::instance().stop();
     ASSERT_FALSE(obs::Telemetry::instance().running());
 
-    EXPECT_TRUE(sameMeasurement(off1, on1));
-    EXPECT_TRUE(sameMeasurement(off1, on2));
-    EXPECT_TRUE(sameMeasurement(off1, on4));
-    EXPECT_TRUE(sameMeasurement(off1, on4_mux));
-
-    // A running sampler arms host-time self-profiling: the execute
-    // phase accumulates real host time (diagnostics, not measurement).
-    EXPECT_GT(on1.phaseExecuteSeconds, 0.0);
-    EXPECT_GT(on2.phaseExecuteSeconds, 0.0);
-    EXPECT_GT(on2.phaseBarrierWaitSeconds, 0.0);
+    for (std::size_t c = 0; c < cfgs.size(); ++c) {
+        for (std::size_t r = 0; r < runs.size(); ++r) {
+            EXPECT_TRUE(sameMeasurement(off[c], on[c][r]))
+                << "config " << c << ", run " << r;
+        }
+        // A running sampler arms host-time self-profiling: the execute
+        // phase accumulates real host time (diagnostics, not
+        // measurement).
+        EXPECT_GT(on[c][0].phaseExecuteSeconds, 0.0);
+        EXPECT_GT(on[c][1].phaseExecuteSeconds, 0.0);
+        EXPECT_GT(on[c][1].phaseBarrierWaitSeconds, 0.0);
+    }
 
     // stop() emits a final heartbeat even for sub-interval runs, and
     // every record in the stream is schema-clean.
@@ -143,8 +153,10 @@ TEST(TelemetrySharded, ProfileEnvArmsThePhaseClocks)
     // sampler; exercised here via the tracing path (in-memory only).
     obs::TraceOptions trace;
     trace.level = obs::TraceLevel::Packets;
-    const harness::RunResult traced = harness::runWorkload(
-        "GUPS", tinyMeshConfig(), kTinyScale, 2, trace);
+    const harness::RunResult traced =
+        harness::runWorkload("GUPS", tinyMeshConfig(),
+                             {.scale = kTinyScale, .shards = 2,
+                              .trace = trace});
     EXPECT_GT(traced.phaseExecuteSeconds, 0.0);
     EXPECT_GT(traced.phaseExportSeconds, 0.0);
 }

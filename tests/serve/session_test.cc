@@ -77,9 +77,11 @@ TEST(ServeSession, SameSeedReproduces)
 {
     const ServeConfig sc = tinyScenario();
     const harness::RunResult a =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(sc, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
     const harness::RunResult b =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(sc, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
     EXPECT_TRUE(harness::sameMeasurement(a, b));
 }
 
@@ -87,10 +89,12 @@ TEST(ServeSession, DifferentSeedChangesTheSchedule)
 {
     ServeConfig sc = tinyScenario();
     const harness::RunResult a =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(sc, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
     sc.seed += 1;
     const harness::RunResult b =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(sc, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
     EXPECT_FALSE(harness::sameMeasurement(a, b));
 }
 
@@ -105,11 +109,11 @@ TEST(ServeSession, BitIdenticalAcrossShardCounts)
     config::SystemConfig cfg = config::baselineConfig();
     cfg.numClusters = 4;
     const harness::RunResult serial =
-        harness::runServe(sc, cfg, kTinyScale, 1);
+        harness::runServe(sc, cfg, {.scale = kTinyScale, .shards = 1});
     const harness::RunResult two =
-        harness::runServe(sc, cfg, kTinyScale, 2);
+        harness::runServe(sc, cfg, {.scale = kTinyScale, .shards = 2});
     const harness::RunResult four =
-        harness::runServe(sc, cfg, kTinyScale, 4);
+        harness::runServe(sc, cfg, {.scale = kTinyScale, .shards = 4});
 
     EXPECT_TRUE(harness::sameMeasurement(serial, two));
     EXPECT_TRUE(harness::sameMeasurement(serial, four));
@@ -130,7 +134,8 @@ TEST(ServeSession, RunServeFillsHarnessFields)
 {
     const ServeConfig sc = tinyScenario();
     const harness::RunResult r =
-        harness::runServe(sc, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(sc, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
 
     EXPECT_EQ(r.workload, "serve-poisson");
     EXPECT_DOUBLE_EQ(r.offeredLoad, sc.offeredLoad);
@@ -153,9 +158,11 @@ TEST(ServeSession, MeasurementWindowBoundsMeasuredCount)
     narrow.measureTicks = wide.measureTicks / 2;
 
     const harness::RunResult a =
-        harness::runServe(wide, config::baselineConfig(), kTinyScale, 1);
-    const harness::RunResult b = harness::runServe(
-        narrow, config::baselineConfig(), kTinyScale, 1);
+        harness::runServe(wide, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
+    const harness::RunResult b =
+        harness::runServe(narrow, config::baselineConfig(),
+                          {.scale = kTinyScale, .shards = 1});
     EXPECT_GT(a.serveMeasured, 0u);
     EXPECT_GE(a.serveMeasured, b.serveMeasured);
     EXPECT_LT(a.serveMeasured, a.serveInjected);

@@ -4,8 +4,9 @@
  * invocation. All selected figures share one thread-pool scheduler and
  * one result cache, so design points common to several figures (the
  * baseline above all) are simulated exactly once per run, in parallel
- * across cores, with numbers bit-identical to the legacy serial
- * binaries. Results can additionally be exported as JSON or CSV.
+ * across cores, with numbers bit-identical to a serial run. This is the
+ * one way to print a table or figure; results can additionally be
+ * exported as JSON or CSV.
  */
 
 #include <algorithm>
@@ -64,7 +65,8 @@ usage(int code)
           "                    results are bit-identical either way).\n"
           "                    The default worker count is divided by N\n"
           "                    so jobs x shards never oversubscribes\n"
-          "  --scale X         set NETCRAFTER_SCALE for this run\n"
+          "  --scale X         problem-size multiplier (overrides\n"
+          "                    NETCRAFTER_SCALE)\n"
           "  --fidelity F      cycle|flow|hybrid (default: the\n"
           "                    validated NETCRAFTER_FIDELITY env, else\n"
           "                    cycle). flow/hybrid approximate the\n"
@@ -173,11 +175,12 @@ writeFile(const std::string &path,
 }
 
 int
-dumpRegistry(const std::string &workload, const std::string &path)
+dumpRegistry(const std::string &workload, double scale,
+             const std::string &path)
 {
     auto wl = workloads::makeWorkload(workload);
     gpu::MultiGpuSystem system(config::baselineConfig());
-    system.run(*wl, harness::envScale());
+    system.run(*wl, scale);
     const stats::Registry reg = system.collectStats();
     return writeFile(path,
                      [&](std::ostream &os) {
@@ -229,7 +232,8 @@ main(int argc, char **argv)
 {
     std::vector<std::string> want;
     std::string json_path, csv_path, registry_json, registry_workload;
-    exp::Scheduler::Options opts;
+    // Run options start from the environment; the flags below override.
+    exp::Scheduler::Options opts{harness::RunOptions::fromEnv()};
     opts.progress = exp::ProgressMode::PerJob;
     bool timings = false;
     // Telemetry flags override the NETCRAFTER_HEARTBEAT_* /
@@ -239,12 +243,7 @@ main(int argc, char **argv)
     exp::ServeCurveSpec serve_spec;
     // NETCRAFTER_SERVE_* sets the scenario (arrival, mix, phases,
     // seed); the --arrival and --offered-load flags override it.
-    harness::applyServeEnv(serve_spec.serve);
-    // --shards overrides the NETCRAFTER_SHARDS environment.
-    if (const char *env = std::getenv("NETCRAFTER_SHARDS"))
-        opts.shards = harness::parseShardsEnv(env);
-    // Flags below override the NETCRAFTER_TRACE_* environment.
-    opts.trace = obs::TraceOptions::fromEnv();
+    serve::applyServeEnv(serve_spec.serve);
     bool explicit_level = false;
 
     for (int i = 1; i < argc; ++i) {
@@ -284,8 +283,10 @@ main(int argc, char **argv)
             }
             opts.shards = static_cast<unsigned>(n);
         }
-        else if (arg == "--scale")
-            setenv("NETCRAFTER_SCALE", value("--scale").c_str(), 1);
+        else if (arg == "--scale") {
+            opts.scale =
+                harness::parseScaleEnv(value("--scale").c_str(), "--scale");
+        }
         else if (arg == "--fidelity") {
             opts.fidelity = flow::parseFidelityOrDie(
                 value("--fidelity"), "--fidelity");
@@ -372,8 +373,8 @@ main(int argc, char **argv)
         }
     }
 
-    // As with figureMain: output or sampling without an explicit tier
-    // implies the packet tier.
+    // Output or sampling without an explicit tier implies the packet
+    // tier (as in RunOptions::fromEnv).
     if (!explicit_level && !opts.trace.enabled() &&
         (!opts.trace.outDir.empty() || opts.trace.sampleInterval > 0))
         opts.trace.level = obs::TraceLevel::Packets;
@@ -391,7 +392,8 @@ main(int argc, char **argv)
             std::cerr << "--registry-json requires --workload\n";
             return usage(1);
         }
-        return dumpRegistry(registry_workload, registry_json);
+        return dumpRegistry(registry_workload, opts.scale,
+                            registry_json);
     }
     if (want.empty() && !serve_mode)
         return usage(1);

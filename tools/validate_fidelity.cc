@@ -16,7 +16,8 @@
  *
  *   --fidelity F   comparison fidelity (default hybrid)
  *   --quick        fig03/fig14-style subset: base + full configs only
- *   --scale S      problem-size multiplier (default 1.0)
+ *   --scale S      problem-size multiplier on top of NETCRAFTER_SCALE
+ *                  (default 1.0)
  *   --tolerance P  max relative error, percent (default 2.0)
  *   --out FILE     JSON summary (default VALIDATE_fidelity.json)
  */
@@ -29,15 +30,15 @@
 #include <string>
 #include <vector>
 
-#include "bench/bench_common.hh"
 #include "src/config/system_config.hh"
 #include "src/exp/export.hh"
+#include "src/exp/figures.hh"
 #include "src/flow/fidelity.hh"
 #include "src/harness/runner.hh"
+#include "src/workloads/workload.hh"
 
 namespace {
 
-using netcrafter::config::SystemConfig;
 using netcrafter::harness::RunResult;
 
 /** One compared metric: name, cycle value, comparison value. */
@@ -102,7 +103,7 @@ main(int argc, char **argv)
         } else if (arg == "--quick") {
             quick = true;
         } else if (arg == "--scale" && i + 1 < argc) {
-            scale = std::strtod(argv[++i], nullptr);
+            scale = harness::parseScaleEnv(argv[++i], "--scale");
         } else if (arg == "--tolerance" && i + 1 < argc) {
             tolerance_pct = std::strtod(argv[++i], nullptr);
         } else {
@@ -118,20 +119,17 @@ main(int argc, char **argv)
         return 2;
     }
 
-    std::vector<std::pair<std::string, SystemConfig>> configs = {
-        {"base", config::baselineConfig()},
-        {"full", bench::fullNetcrafter()},
-    };
-    if (!quick) {
-        configs.insert(configs.begin() + 1,
-                       {"stitch", bench::stitchSelective32()});
-        configs.insert(configs.begin() + 2,
-                       {"trim", bench::stitchTrim()});
-        configs.push_back({"sector", config::sectorCacheConfig(16)});
+    std::vector<exp::ConfigPoint> configs;
+    for (const auto &c : exp::fig14Configs()) {
+        if (!quick || c.label == "base" || c.label == "full")
+            configs.push_back(c);
     }
 
-    const obs::TraceOptions no_trace;
-    const sim::ExecPolicy serial_exec{0};
+    // Serial, untraced runs at the environment's scale times --scale.
+    harness::RunOptions exact;
+    exact.scale = scale * harness::RunOptions::fromEnv().scale;
+    harness::RunOptions approx = exact;
+    approx.fidelity = fidelity;
     const double tol = tolerance_pct / 100.0;
 
     struct PointRow
@@ -152,12 +150,9 @@ main(int argc, char **argv)
     std::string worst_at;
 
     for (const auto &[cfg_name, cfg] : configs) {
-        for (const auto &app : bench::apps()) {
-            const RunResult c = harness::runWorkload(
-                app, cfg, scale, 1, no_trace, serial_exec,
-                flow::Fidelity::Cycle);
-            const RunResult h = harness::runWorkload(
-                app, cfg, scale, 1, no_trace, serial_exec, fidelity);
+        for (const auto &app : workloads::workloadNames()) {
+            const RunResult c = harness::runWorkload(app, cfg, exact);
+            const RunResult h = harness::runWorkload(app, cfg, approx);
 
             PointRow row;
             row.config = cfg_name;
