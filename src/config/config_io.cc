@@ -264,6 +264,7 @@ parseConfig(std::istream &is, const SystemConfig &base)
                      "'");
         it->second.parse(cfg, value);
     }
+    cfg.validate();
     return cfg;
 }
 

@@ -23,7 +23,8 @@ std::string configToString(const SystemConfig &cfg);
 
 /**
  * Parse `key = value` lines (comments start with '#', blank lines
- * ignored) over @p base; unknown keys are fatal (catches typos).
+ * ignored) over @p base; unknown keys are fatal (catches typos), and
+ * so is a result that SystemConfig::validate() rejects.
  */
 SystemConfig parseConfig(std::istream &is,
                          const SystemConfig &base = SystemConfig{});

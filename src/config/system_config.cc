@@ -27,6 +27,23 @@ SystemConfig::validate() const
         NC_FATAL("flit pooling only makes sense with stitching enabled");
     if (l1Assoc == 0 || l2Assoc == 0 || l2Banks == 0)
         NC_FATAL("associativities and bank counts must be positive");
+    // The tag arrays keep one dirty bit per way in a 32-bit word and
+    // hold whole sets; TLB sets are whole too.
+    if (l1Assoc > 32 || l2Assoc > 32)
+        NC_FATAL("cache associativity above 32 ways");
+    if (l1Bytes == 0 || l2BytesPerGpu == 0)
+        NC_FATAL("cache sizes must be positive");
+    if (l1Bytes % (std::uint64_t{l1Assoc} * kCacheLineBytes) != 0)
+        NC_FATAL("l1.bytes ", l1Bytes, " is not a multiple of ", l1Assoc,
+                 " ways x ", kCacheLineBytes, " B");
+    if (l2BytesPerGpu % (std::uint64_t{l2Assoc} * kCacheLineBytes) != 0)
+        NC_FATAL("l2.bytes ", l2BytesPerGpu, " is not a multiple of ",
+                 l2Assoc, " ways x ", kCacheLineBytes, " B");
+    if (l1TlbEntries == 0 || l2TlbEntries == 0 || l2TlbAssoc == 0)
+        NC_FATAL("TLB entries and ways must be positive");
+    if (l2TlbEntries % l2TlbAssoc != 0)
+        NC_FATAL("l2tlb.entries ", l2TlbEntries,
+                 " is not a multiple of l2tlb.assoc ", l2TlbAssoc);
     if (interLinkLatency < 1)
         NC_FATAL("inter-cluster link latency must be >= 1 cycle "
                  "(it is the sharded engine's conservative lookahead)");

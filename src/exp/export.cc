@@ -277,6 +277,8 @@ writeJson(const std::vector<ExportRecord> &records, std::ostream &os)
             else
                 os << v;
         }
+        for (const auto &[kind, events] : records[r].result.eventLedger)
+            os << ", \"sim.events." << jsonEscape(kind) << "\": " << events;
         os << "}";
     }
     os << "\n  ]\n}\n";

@@ -48,7 +48,10 @@ std::vector<ExportRecord> recordsFromCache(const ResultCache &cache);
 /** CSV with a header row; one line per record. */
 void writeCsv(const std::vector<ExportRecord> &records, std::ostream &os);
 
-/** JSON object {"results": [...]} with one object per record. */
+/**
+ * JSON object {"results": [...]} with one object per record: the CSV
+ * columns, then one "sim.events.<kind>" key per event-ledger entry.
+ */
 void writeJson(const std::vector<ExportRecord> &records, std::ostream &os);
 
 /**

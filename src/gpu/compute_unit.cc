@@ -10,15 +10,13 @@ ComputeUnit::ComputeUnit(sim::Engine &engine, std::string name,
                          vm::Tlb::MissHandler tlb_miss,
                          std::function<void(const WaveDesc &)> wave_done)
     : SimObject(engine, std::move(name)), params_(params),
+      l1_(engine, this->name() + ".l1", params_.l1, std::move(fill)),
+      l1Tlb_(engine, this->name() + ".l1tlb", params_.l1Tlb,
+             std::move(tlb_miss)),
       waveDone_(std::move(wave_done))
 {
-    l1_ = std::make_unique<mem::L1Cache>(engine, this->name() + ".l1",
-                                         params_.l1, std::move(fill));
-    l1Tlb_ = std::make_unique<vm::Tlb>(engine, this->name() + ".l1tlb",
-                                       params_.l1Tlb,
-                                       std::move(tlb_miss));
     if (params_.wakeOnL1Unblock) {
-        l1_->setUnblockHook([this] {
+        l1_.setUnblockHook([this] {
             if (stalled_) {
                 stalled_ = false;
                 scheduleDispatch();
@@ -90,7 +88,7 @@ ComputeUnit::startInstruction(WaveState *wave)
         while (end < acc.size() && acc[end].line / kPageBytes == vpn)
             ++end;
         ++wave->pendingTranslations;
-        l1Tlb_->access(vpn, [this, wave, begin, end](vm::Translation) {
+        l1Tlb_.access(vpn, [this, wave, begin, end](vm::Translation) {
             NC_ASSERT(wave->pendingTranslations > 0,
                       "translation underflow");
             --wave->pendingTranslations;
@@ -137,46 +135,51 @@ ComputeUnit::dispatchCycle()
 {
     std::uint32_t issued = 0;
     while (issued < params_.issueWidth && !dispatchQueue_.empty()) {
-        PendingLine &pl = dispatchQueue_.front();
-        WaveState *wave = pl.wave;
-        const CoalescedAccess a = pl.access;
-        bool accepted;
+        bool accepted = false;
         if (dispatchPops_ == refusedAtPop_ &&
-            l1_->stateEpoch() == refusedEpoch_) {
+            l1_.stateEpoch() == refusedEpoch_) {
             // Same head, same L1 state: the L1 would refuse it again.
-            l1_->countRepeatedRejection();
-            accepted = false;
-        } else if (a.isWrite) {
-            accepted = l1_->access(a.line, a.offset, a.bytes, true,
-                                   nullptr);
-            if (accepted) {
-                // Writes complete for the wavefront at acceptance; the
-                // write-through ack only recycles the tracking slot.
-                dispatchQueue_.pop_front();
-                ++dispatchPops_;
-                ++issued;
-                lineDone(wave);
-            }
+            // Most dispatch cycles end here, without reading the head.
+            l1_.countRepeatedRejection();
         } else {
-            accepted = l1_->access(a.line, a.offset, a.bytes, false,
-                                   [this, wave] { lineDone(wave); });
-            if (accepted) {
-                dispatchQueue_.pop_front();
-                ++dispatchPops_;
-                ++issued;
-            }
+            accepted = issueHead();
         }
         if (!accepted) {
             refusedAtPop_ = dispatchPops_;
-            refusedEpoch_ = l1_->stateEpoch();
+            refusedEpoch_ = l1_.stateEpoch();
             if (params_.wakeOnL1Unblock) {
                 stalled_ = true;
                 return; // woken by the L1 unblock hook
             }
             break; // L1 MSHRs full: stall the issue port this cycle
         }
+        ++issued;
     }
     scheduleDispatch();
+}
+
+bool
+ComputeUnit::issueHead()
+{
+    const PendingLine pl = dispatchQueue_.front();
+    const CoalescedAccess &a = pl.access;
+    WaveState *wave = pl.wave;
+    if (a.isWrite) {
+        if (!l1_.access(a.line, a.offset, a.bytes, true, nullptr))
+            return false;
+        dispatchQueue_.pop_front();
+        ++dispatchPops_;
+        // Writes complete for the wavefront at acceptance; the
+        // write-through ack only recycles the tracking slot.
+        lineDone(wave);
+        return true;
+    }
+    if (!l1_.access(a.line, a.offset, a.bytes, false,
+                    [this, wave] { lineDone(wave); }))
+        return false;
+    dispatchQueue_.pop_front();
+    ++dispatchPops_;
+    return true;
 }
 
 void

@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <memory>
 #include <vector>
 
 #include "src/gpu/coalescer.hh"
@@ -95,8 +94,8 @@ class ComputeUnit : public sim::SimObject
     /** Wavefront memory instructions executed. */
     std::uint64_t instructions() const { return instructions_; }
 
-    const mem::L1Cache &l1() const { return *l1_; }
-    const vm::Tlb &l1Tlb() const { return *l1Tlb_; }
+    const mem::L1Cache &l1() const { return l1_; }
+    const vm::Tlb &l1Tlb() const { return l1Tlb_; }
 
   private:
     struct WaveState
@@ -155,9 +154,12 @@ class ComputeUnit : public sim::SimObject
     void scheduleDispatch();
     void dispatchCycle();
 
+    /** Offer the dispatch queue's head to the L1; pop it if accepted. */
+    bool issueHead();
+
     CuParams params_;
-    std::unique_ptr<mem::L1Cache> l1_;
-    std::unique_ptr<vm::Tlb> l1Tlb_;
+    mem::L1Cache l1_;
+    vm::Tlb l1Tlb_;
     std::function<void(const WaveDesc &)> waveDone_;
 
     std::list<WaveState> waves_;

@@ -465,13 +465,13 @@ MultiGpuSystem::tryFusedRoundTrip(GpuId g, noc::PacketPtr &pkt)
                                 rsp->reqId, rsp->totalBytes());
                 ctl->noteDelivered(*rsp);
                 handleResponse(std::move(rsp));
-            });
+            }, sim::callbackEventKind<MultiGpuSystem>());
         };
         if (is_write)
             chips_[owner].l2->write(line, std::move(respond));
         else
             chips_[owner].l2->read(line, std::move(respond));
-    });
+    }, sim::callbackEventKind<MultiGpuSystem>());
     return true;
 }
 
@@ -500,7 +500,7 @@ MultiGpuSystem::trySendResponseOnFlowLane(noc::PacketPtr &rsp)
                         rsp->totalBytes());
         ctl->noteDelivered(*rsp);
         handleResponse(std::move(rsp));
-    });
+    }, sim::callbackEventKind<MultiGpuSystem>());
     return true;
 }
 
@@ -718,6 +718,8 @@ MultiGpuSystem::collectStats() const
     stats::Registry reg;
     reg.counter("system.cycles").inc(engine_.now());
     reg.counter("system.events").inc(engine_.eventsExecuted());
+    for (const auto &[kind, events] : engine_.eventLedger())
+        reg.counter("sim.events." + kind).inc(events);
     std::uint64_t near = 0, far = 0, cb_alloc = 0, cb_high = 0,
                   cb_arena = 0;
     for (unsigned s = 0; s < engine_.numShards(); ++s) {

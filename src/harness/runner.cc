@@ -48,6 +48,7 @@ collectSystemStats(RunResult &r, gpu::MultiGpuSystem &system,
 {
     r.cycles = system.cycles();
     r.events = system.engines().eventsExecuted();
+    r.eventLedger = system.engines().eventLedger();
     r.instructions = system.totalInstructions();
     r.l1ReadAccesses = system.l1ReadAccesses();
     r.l1ReadMisses = system.l1ReadMisses();
@@ -393,14 +394,37 @@ geomean(const std::vector<double> &xs)
     return std::exp(log_sum / static_cast<double>(xs.size()));
 }
 
+namespace {
+
+/** strtod() over all of @p text; NaN when anything is left over. */
 double
-parseScaleEnv(const char *text, const char *what)
+parseWhole(const char *text)
 {
     char *end = nullptr;
     const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
+    return end == text || *end != '\0' ? std::nan("") : v;
+}
+
+} // namespace
+
+double
+parseScaleEnv(const char *text, const char *what)
+{
+    const double v = parseWhole(text);
+    if (!std::isfinite(v) || v <= 0) {
         NC_FATAL(what, " must be a positive finite number, got '", text,
                  "'");
+    }
+    return v;
+}
+
+double
+parseTolerancePct(const char *text, const char *what)
+{
+    const double v = parseWhole(text);
+    if (!std::isfinite(v) || v < 0) {
+        NC_FATAL(what, " must be a non-negative finite number, got '",
+                 text, "'");
     }
     return v;
 }
@@ -423,7 +447,8 @@ bool
 sameMeasurement(const RunResult &a, const RunResult &b)
 {
     return a.workload == b.workload && a.cycles == b.cycles &&
-           a.events == b.events && a.instructions == b.instructions &&
+           a.events == b.events && a.eventLedger == b.eventLedger &&
+           a.instructions == b.instructions &&
            a.l1ReadAccesses == b.l1ReadAccesses &&
            a.l1ReadMisses == b.l1ReadMisses && a.l1Mpki == b.l1Mpki &&
            a.interFlits == b.interFlits &&

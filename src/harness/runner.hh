@@ -11,6 +11,7 @@
 #include <array>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/config/system_config.hh"
@@ -50,6 +51,12 @@ struct RunResult
 
     /** Discrete events executed (simulator cost, not modelled time). */
     std::uint64_t events = 0;
+
+    /**
+     * The event ledger: (kind name, events) per handler or scheduling
+     * class, sorted by name (see sim/event_kind.hh). Sums to events.
+     */
+    std::vector<std::pair<std::string, std::uint64_t>> eventLedger;
 
     std::uint64_t instructions = 0;
     std::uint64_t l1ReadAccesses = 0;
@@ -355,6 +362,10 @@ double geomean(const std::vector<double> &xs);
  *  input (anything not a positive finite number). */
 double parseScaleEnv(const char *text,
                      const char *what = "NETCRAFTER_SCALE");
+
+/** Parse and validate one tolerance in percent; NC_FATAL names @p what
+ *  on bad input (anything not a non-negative finite number). */
+double parseTolerancePct(const char *text, const char *what);
 
 /**
  * Parse and validate one NETCRAFTER_SHARDS value: a positive integer

@@ -48,8 +48,7 @@ class Dram : public sim::SimObject
                         obs::TraceStage::DramAccess, traceLane_, bytes,
                         bytes);
         if (done) {
-            engine().scheduleAbs(start + occupancy + latency_,
-                                 std::move(done));
+            scheduleAbs(start + occupancy + latency_, std::move(done));
         }
     }
 

@@ -30,8 +30,8 @@ L1Cache::access(Addr line, std::uint32_t offset, std::uint32_t bytes,
     ++writeAccesses_;
     ++outstandingWrites_;
     ++stateEpoch_;
-    if (tags_.present(line))
-        tags_.touch(line); // data updated in place
+    if (const TagArray::Way way = tags_.lookup(line))
+        tags_.touch(way); // data updated in place
     FillRequest req;
     req.line = line;
     req.offset = offset;
@@ -49,9 +49,10 @@ L1Cache::accessRead(Addr line, std::uint32_t offset, std::uint32_t bytes,
     ++readAccesses_;
     const SectorMask needed = tags_.sectorsForRange(offset, bytes);
 
-    if (tags_.covers(line, needed)) {
+    const TagArray::Way way = tags_.lookup(line);
+    if (way && (tags_.validSectors(way) & needed) == needed) {
         ++readHits_;
-        tags_.touch(line);
+        tags_.touch(way);
         schedule(params_.lookupLatency, std::move(done));
         return true;
     }
@@ -109,8 +110,11 @@ L1Cache::handleFill(Addr line, SectorMask filled)
     ++stateEpoch_;
     if (onUnblock_)
         onUnblock_();
+    // Waiter callbacks only schedule, so the line's sectors stay as the
+    // fill left them throughout this loop.
+    const SectorMask have = tags_.validSectors(line);
     for (auto &w : waiters) {
-        if (tags_.covers(line, w.needed)) {
+        if ((have & w.needed) == w.needed) {
             w.done();
         } else {
             // The fill (e.g. a trimmed sector for the primary miss) does

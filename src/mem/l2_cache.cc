@@ -49,12 +49,12 @@ L2Cache::start(Addr line, bool is_write, Callback done)
                     traceLane_, line, is_write ? 1 : 0);
     const Tick ready = bankReadyTime(line) + params_.lookupLatency;
 
-    if (tags_.present(line)) {
+    if (const TagArray::Way way = tags_.lookup(line)) {
         ++hits_;
-        tags_.touch(line);
+        tags_.touch(way);
         if (is_write)
-            tags_.markDirty(line);
-        engine().scheduleAbs(ready, std::move(done));
+            tags_.markDirty(way);
+        scheduleAbs(ready, std::move(done));
         return;
     }
 
@@ -75,7 +75,7 @@ L2Cache::start(Addr line, bool is_write, Callback done)
     mshr_.allocate(line, std::move(waiter));
     // Fetch the line from DRAM after the (pipelined) lookup determined
     // the miss.
-    engine().scheduleAbs(ready, [this, line] {
+    scheduleAbs(ready, [this, line] {
         dram_.access(kCacheLineBytes,
                      [this, line] { finishFill(line); });
     });

@@ -195,7 +195,7 @@ Switch::cycle()
         notify();
     } else if (next < pendingLongWake_ || pendingLongWake_ <= t) {
         pendingLongWake_ = next;
-        engine().scheduleAbs(next, [this] { cycle(); });
+        scheduleAbs(next, [this] { cycle(); });
     }
 }
 

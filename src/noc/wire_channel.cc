@@ -81,9 +81,11 @@ WireChannel::ship(FlitPtr flit, Tick arrival)
 {
     if (!crossShard()) {
         srcEngine_.scheduleWireAbs(
-            arrival, [this, f = std::move(flit)]() mutable {
+            arrival,
+            [this, f = std::move(flit)]() mutable {
                 deliver(std::move(f));
-            });
+            },
+            sim::callbackEventKind<WireChannel>());
         return;
     }
 
@@ -136,7 +138,9 @@ WireChannel::onSinkPop()
 {
     const Tick arrival = dstEngine_.now() + latency_;
     if (!crossShard()) {
-        dstEngine_.scheduleWireAbs(arrival, [this] { creditArrive(); });
+        dstEngine_.scheduleWireAbs(
+            arrival, [this] { creditArrive(); },
+            sim::callbackEventKind<WireChannel>());
         return;
     }
     creditOutbox_.push_back(arrival);
@@ -222,9 +226,11 @@ WireChannel::importAtDst()
                   "cross-shard flit arrival ", wire.arrival,
                   " is not after the receiver's clock ", dstEngine_.now());
         dstEngine_.scheduleWireAbs(
-            wire.arrival, [this, f = std::move(flit)]() mutable {
+            wire.arrival,
+            [this, f = std::move(flit)]() mutable {
                 deliver(std::move(f));
-            });
+            },
+            sim::callbackEventKind<WireChannel>());
     }
     flitSealed_.clear();
 }
@@ -236,7 +242,9 @@ WireChannel::importAtSrc()
         NC_ASSERT(when > srcEngine_.now(), "cross-shard credit arrival ",
                   when, " is not after the receiver's clock ",
                   srcEngine_.now());
-        srcEngine_.scheduleWireAbs(when, [this] { creditArrive(); });
+        srcEngine_.scheduleWireAbs(
+            when, [this] { creditArrive(); },
+            sim::callbackEventKind<WireChannel>());
     }
     creditSealed_.clear();
 }

@@ -70,9 +70,9 @@ ServeSession::scheduleArrival(std::size_t stream_idx, Tick when)
     // GPU-local state, keeping sharded execution race-free and
     // bit-identical.
     sys_.engineFor(streams_[stream_idx].gpu)
-        .scheduleAbs(when, [this, stream_idx, when] {
-            inject(stream_idx, when);
-        });
+        .scheduleAbs(
+            when, [this, stream_idx, when] { inject(stream_idx, when); },
+            sim::callbackEventKind<ServeSession>());
 }
 
 void

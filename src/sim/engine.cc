@@ -8,11 +8,11 @@
 namespace netcrafter::sim {
 
 void
-Engine::scheduleAbs(Tick when, EventFn fn)
+Engine::scheduleAbs(Tick when, EventFn fn, EventKind kind)
 {
     NC_ASSERT(when >= now_, "event scheduled in the past: when=", when,
               " now=", now_);
-    CallbackEvent *ev = acquireCallback();
+    CallbackEvent *ev = acquireCallback(kind);
     ev->fn = std::move(fn);
     queue_.schedule(*ev, when);
 }
@@ -26,18 +26,18 @@ Engine::scheduleAbs(Event &ev, Tick when)
 }
 
 void
-Engine::scheduleWireAbs(Tick when, EventFn fn)
+Engine::scheduleWireAbs(Tick when, EventFn fn, EventKind kind)
 {
     NC_ASSERT(when > now_, "wire event must be strictly in the future: "
                            "when=", when, " now=", now_);
-    CallbackEvent *ev = acquireCallback();
+    CallbackEvent *ev = acquireCallback(kind);
     ev->fn = std::move(fn);
     ev->setPhase(kPhaseWire);
     queue_.schedule(*ev, when);
 }
 
 Engine::CallbackEvent *
-Engine::acquireCallback()
+Engine::acquireCallback(EventKind kind)
 {
     if (freeList_.empty()) {
         auto slab = std::make_unique<CallbackEvent[]>(kSlabSize);
@@ -52,6 +52,7 @@ Engine::acquireCallback()
     CallbackEvent *ev = freeList_.back();
     freeList_.pop_back();
     ev->setPhase(kPhaseDefault); // recycled nodes may have been wire
+    ev->setKind(kind);
     const std::size_t live = poolAllocated_ - freeList_.size();
     poolHighWater_ = std::max(poolHighWater_, live);
     return ev;
@@ -106,6 +107,7 @@ Engine::runWindow(Tick limit)
         NC_ASSERT(ev->when() >= now_, "event queue went backwards");
         now_ = ev->when();
         ++eventsExecuted_;
+        ++eventsByKind_[ev->kind()];
         if ((eventsExecuted_ & kProgressMask) == 0 && progress_ != nullptr)
             publishProgress();
         ev->process();

@@ -6,6 +6,7 @@
 #ifndef NETCRAFTER_SIM_ENGINE_HH
 #define NETCRAFTER_SIM_ENGINE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -85,17 +86,21 @@ class Engine
         return ++scopedIds_[slot];
     }
 
-    /** Schedule @p fn to fire @p delay cycles from now. */
+    /**
+     * Schedule @p fn to fire @p delay cycles from now, counted in the
+     * event ledger under @p kind.
+     */
     void
-    schedule(Tick delay, EventFn fn)
+    schedule(Tick delay, EventFn fn, EventKind kind = kUnattributed)
     {
-        CallbackEvent *ev = acquireCallback();
+        CallbackEvent *ev = acquireCallback(kind);
         ev->fn = std::move(fn);
         queue_.schedule(*ev, now_ + delay);
     }
 
     /** Schedule @p fn at an absolute tick (must not be in the past). */
-    void scheduleAbs(Tick when, EventFn fn);
+    void scheduleAbs(Tick when, EventFn fn,
+                     EventKind kind = kUnattributed);
 
     /**
      * Schedule @p fn as a wire-phase event at an absolute tick, strictly
@@ -104,7 +109,8 @@ class Engine
      * flit deliveries and credit returns so that serial and sharded
      * execution order them identically.
      */
-    void scheduleWireAbs(Tick when, EventFn fn);
+    void scheduleWireAbs(Tick when, EventFn fn,
+                         EventKind kind = kUnattributed);
 
     /** Schedule intrusive event @p ev @p delay cycles from now. */
     void
@@ -164,6 +170,16 @@ class Engine
 
     /** Total events executed since construction. */
     std::uint64_t eventsExecuted() const { return eventsExecuted_; }
+
+    /**
+     * The event ledger: events executed since construction, indexed by
+     * EventKind. Sums to eventsExecuted().
+     */
+    const std::array<std::uint64_t, kMaxEventKinds> &
+    eventsByKind() const
+    {
+        return eventsByKind_;
+    }
 
     /** Pending event count (for tests and diagnostics). */
     std::size_t pendingEvents() const { return queue_.size(); }
@@ -264,7 +280,7 @@ class Engine
     /** Relaxed-store tick/events/backlog into the progress cell. */
     void publishProgress();
 
-    CallbackEvent *acquireCallback();
+    CallbackEvent *acquireCallback(EventKind kind);
 
     void
     releaseCallback(CallbackEvent *ev)
@@ -281,6 +297,7 @@ class Engine
     bool stopRequested_ = false;
     RunStatus lastRunStatus_ = RunStatus::Drained;
     std::uint64_t eventsExecuted_ = 0;
+    std::array<std::uint64_t, kMaxEventKinds> eventsByKind_{};
 
     std::vector<std::unique_ptr<CallbackEvent[]>> slabs_;
     std::vector<CallbackEvent *> freeList_;

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 
+#include "src/sim/event_kind.hh"
 #include "src/sim/types.hh"
 
 namespace netcrafter::sim {
@@ -71,6 +72,12 @@ class Event
         phase_ = phase;
     }
 
+    /** The event's key in the engine's event ledger. */
+    EventKind kind() const { return kind_; }
+
+    /** Set the ledger key. Must not be called while scheduled. */
+    void setKind(EventKind kind) { kind_ = kind; }
+
   protected:
     ~Event() = default;
 
@@ -82,12 +89,14 @@ class Event
     /** Next event in the same wheel bucket (intrusive FIFO link). */
     Event *next_ = nullptr;
     std::uint8_t phase_ = kPhaseDefault;
+    EventKind kind_ = kUnattributed;
     bool scheduled_ = false;
 };
 
 /**
  * An event that calls a member function on its owner — the common case
- * for statically owned events, with no indirection beyond the vtable:
+ * for statically owned events, with no indirection beyond the vtable.
+ * Its ledger kind names the handler ("Link::transfer"):
  *
  *   struct Link { MemberEvent<Link, &Link::transfer> transferEvent_; };
  */
@@ -95,7 +104,10 @@ template <typename T, void (T::*Handler)()>
 class MemberEvent : public Event
 {
   public:
-    explicit MemberEvent(T *obj) : obj_(obj) {}
+    explicit MemberEvent(T *obj) : obj_(obj)
+    {
+        setKind(memberEventKind<T, Handler>());
+    }
 
     void process() override { (obj_->*Handler)(); }
 

@@ -69,7 +69,7 @@ class SelfScheduling
             return;
         }
         T *obj = obj_;
-        engine_.schedule(1, [obj] { (obj->*Handler)(); });
+        engine_.schedule(1, [obj] { (obj->*Handler)(); }, event_.kind());
     }
 
     /** Handler-side acknowledgement that the wake was consumed. */

@@ -492,6 +492,25 @@ ShardedEngine::eventsExecuted() const
     return sum;
 }
 
+std::vector<std::pair<std::string, std::uint64_t>>
+ShardedEngine::eventLedger() const
+{
+    std::array<std::uint64_t, kMaxEventKinds> sum{};
+    for (const auto &engine : engines_) {
+        for (std::size_t k = 0; k < kMaxEventKinds; ++k)
+            sum[k] += engine->eventsByKind()[k];
+    }
+    std::vector<std::pair<std::string, std::uint64_t>> ledger;
+    for (std::size_t k = 0; k < kMaxEventKinds; ++k) {
+        if (sum[k] != 0) {
+            ledger.emplace_back(
+                eventKindName(static_cast<EventKind>(k)), sum[k]);
+        }
+    }
+    std::sort(ledger.begin(), ledger.end());
+    return ledger;
+}
+
 std::uint64_t
 ShardedEngine::totalBarrierStallTicks() const
 {

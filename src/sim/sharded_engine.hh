@@ -71,7 +71,9 @@
 #include <iosfwd>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/obs/progress_board.hh"
@@ -263,6 +265,12 @@ class ShardedEngine
 
     /** Total events executed across all shards. */
     std::uint64_t eventsExecuted() const;
+
+    /**
+     * The event ledger summed over shards: (kind name, events) for
+     * every kind that ran, sorted by name. Sums to eventsExecuted().
+     */
+    std::vector<std::pair<std::string, std::uint64_t>> eventLedger() const;
 
     /** Barrier-synchronized windows executed (0 when serial). */
     std::uint64_t quantaExecuted() const { return quantaExecuted_; }

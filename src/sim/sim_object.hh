@@ -7,6 +7,7 @@
 #define NETCRAFTER_SIM_SIM_OBJECT_HH
 
 #include <string>
+#include <typeinfo>
 #include <utility>
 
 #include "src/sim/engine.hh"
@@ -40,17 +41,40 @@ class SimObject
     /** Current simulated time. */
     Tick now() const { return engine_.now(); }
 
+    /**
+     * Ledger kind of the callbacks this object schedules:
+     * "<Class>::callback" for its most-derived class. Resolved on first
+     * use, after construction, by the thread running this object's
+     * engine; a component that schedules onto other shards' engines
+     * names its kind with callbackEventKind<T>() instead.
+     */
+    EventKind
+    eventKind() const
+    {
+        if (kind_ == kUnattributed)
+            kind_ = callbackEventKind(typeid(*this));
+        return kind_;
+    }
+
   protected:
     /** Schedule a member callback @p delay cycles from now. */
     void
     schedule(Tick delay, EventFn fn)
     {
-        engine_.schedule(delay, std::move(fn));
+        engine_.schedule(delay, std::move(fn), eventKind());
+    }
+
+    /** Schedule a member callback at absolute tick @p when. */
+    void
+    scheduleAbs(Tick when, EventFn fn)
+    {
+        engine_.scheduleAbs(when, std::move(fn), eventKind());
     }
 
   private:
     Engine &engine_;
     std::string name_;
+    mutable EventKind kind_ = kUnattributed;
 };
 
 } // namespace netcrafter::sim

@@ -9,45 +9,32 @@ Tlb::Tlb(sim::Engine &engine, std::string name, const TlbParams &params,
          MissHandler miss_handler)
     : SimObject(engine, std::move(name)), params_(params),
       missHandler_(std::move(miss_handler)),
-      numSets_(params.entries / params.assoc)
+      numSets_(params.entries / params.assoc), keys_(params.entries),
+      translations_(params.entries), lastUse_(params.entries)
 {
     NC_ASSERT(params_.assoc > 0 && params_.entries % params_.assoc == 0,
               "TLB entries must divide evenly into ways");
     NC_ASSERT(numSets_ > 0, "TLB must have at least one set");
     NC_ASSERT(missHandler_ != nullptr, "TLB needs a miss handler");
-    ways_.resize(params_.entries);
     traceLane_ = obs::internLane(engine, this->name());
 }
 
-std::uint32_t
-Tlb::setOf(Addr vpn) const
-{
-    return static_cast<std::uint32_t>(vpn % numSets_);
-}
-
-Tlb::Way *
-Tlb::findWay(Addr vpn)
-{
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(vpn)) * params_.assoc;
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Way &way = ways_[base + w];
-        if (way.valid && way.vpn == vpn)
-            return &way;
-    }
-    return nullptr;
-}
-
-const Tlb::Way *
+std::size_t
 Tlb::findWay(Addr vpn) const
 {
-    return const_cast<Tlb *>(this)->findWay(vpn);
+    const std::size_t base = setBase(vpn);
+    const Addr key = vpn + 1;
+    for (std::size_t w = base; w < base + params_.assoc; ++w) {
+        if (keys_[w] == key)
+            return w;
+    }
+    return kNoWay;
 }
 
 bool
 Tlb::contains(Addr vpn) const
 {
-    return findWay(vpn) != nullptr;
+    return findWay(vpn) != kNoWay;
 }
 
 void
@@ -57,10 +44,10 @@ Tlb::access(Addr vpn, Callback done)
     obs::tracepoint(engine(), obs::TraceLevel::Full,
                     obs::TraceKind::PktStage, obs::TraceStage::TlbLookup,
                     traceLane_, vpn);
-    if (Way *way = findWay(vpn)) {
+    if (const std::size_t way = findWay(vpn); way != kNoWay) {
         ++hits_;
-        way->lastUse = ++useClock_;
-        pendingHits_.push_back(Hit{std::move(done), way->t});
+        lastUse_[way] = ++useClock_;
+        pendingHits_.push_back(Hit{std::move(done), translations_[way]});
         schedule(params_.lookupLatency, [this] { completeHit(); });
         return;
     }
@@ -122,28 +109,25 @@ Tlb::finishMiss(Addr vpn, Translation t)
 void
 Tlb::insert(Addr vpn, Translation t)
 {
+    NC_ASSERT(vpn != kAddrInvalid, "vpn + 1 collides with the empty key");
     ++useClock_;
-    if (Way *way = findWay(vpn)) {
-        way->t = t;
-        way->lastUse = useClock_;
-        return;
-    }
-    const std::size_t base =
-        static_cast<std::size_t>(setOf(vpn)) * params_.assoc;
-    Way *victim = &ways_[base];
-    for (std::uint32_t w = 0; w < params_.assoc; ++w) {
-        Way &way = ways_[base + w];
-        if (!way.valid) {
-            victim = &way;
-            break;
+    std::size_t victim = findWay(vpn);
+    if (victim == kNoWay) {
+        // The first empty way, else the least recently used one.
+        const std::size_t base = setBase(vpn);
+        victim = base;
+        for (std::size_t w = base; w < base + params_.assoc; ++w) {
+            if (keys_[w] == 0) {
+                victim = w;
+                break;
+            }
+            if (lastUse_[w] < lastUse_[victim])
+                victim = w;
         }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
+        keys_[victim] = vpn + 1;
     }
-    victim->vpn = vpn;
-    victim->t = t;
-    victim->valid = true;
-    victim->lastUse = useClock_;
+    translations_[victim] = t;
+    lastUse_[victim] = useClock_;
 }
 
 } // namespace netcrafter::vm

@@ -71,14 +71,6 @@ class Tlb : public sim::SimObject
     std::uint64_t mshrQueued() const { return mshrQueued_; }
 
   private:
-    struct Way
-    {
-        Addr vpn = kAddrInvalid;
-        Translation t;
-        bool valid = false;
-        std::uint64_t lastUse = 0;
-    };
-
     /** A hit waiting out the lookup latency. */
     struct Hit
     {
@@ -86,9 +78,18 @@ class Tlb : public sim::SimObject
         Translation t;
     };
 
-    std::uint32_t setOf(Addr vpn) const;
-    Way *findWay(Addr vpn);
-    const Way *findWay(Addr vpn) const;
+    /** Index of set @p vpn's first way. */
+    std::size_t
+    setBase(Addr vpn) const
+    {
+        return static_cast<std::size_t>(vpn % numSets_) * params_.assoc;
+    }
+
+    /** Index of the way holding @p vpn, or kNoWay. */
+    std::size_t findWay(Addr vpn) const;
+
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
     void completeHit();
     void startMiss(Addr vpn);
     void finishMiss(Addr vpn, Translation t);
@@ -96,7 +97,15 @@ class Tlb : public sim::SimObject
     TlbParams params_;
     MissHandler missHandler_;
     std::uint32_t numSets_;
-    std::vector<Way> ways_;
+
+    /**
+     * Per way, set by set: the cached vpn + 1 (0 when empty), its
+     * translation and its LRU stamp. Lookups scan only keys_; all
+     * three start zeroed.
+     */
+    std::vector<Addr> keys_;
+    std::vector<Translation> translations_;
+    std::vector<std::uint64_t> lastUse_;
     std::uint64_t useClock_ = 0;
 
     /**

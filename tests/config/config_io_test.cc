@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "src/config/config_io.hh"
@@ -57,6 +59,20 @@ TEST(ConfigIo, CommentsAndBlanksIgnored)
 TEST(ConfigIo, UnknownKeyIsFatal)
 {
     EXPECT_DEATH(parseConfigString("no.such.key = 1\n"), "unknown key");
+}
+
+TEST(ConfigIo, LoadingUnrepresentableGeometryIsFatal)
+{
+    // A file whose L2 TLB does not divide into whole sets.
+    const std::filesystem::path path =
+        std::filesystem::path(::testing::TempDir()) / "bad_tlb.cfg";
+    {
+        std::ofstream os(path);
+        os << "# 500 entries over 8 ways\nl2tlb.entries = 500\n";
+    }
+    std::ifstream is(path);
+    ASSERT_TRUE(is.good());
+    EXPECT_DEATH(parseConfig(is), "l2tlb.entries 500 is not a multiple");
 }
 
 TEST(ConfigIo, MalformedLineIsFatal)

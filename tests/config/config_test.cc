@@ -129,6 +129,57 @@ TEST(SystemConfigDeath, BadTrimGranularity)
     EXPECT_DEATH(cfg.validate(), "granularity");
 }
 
+TEST(SystemConfigDeath, L1SizeNotWholeSets)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l1Bytes = 64 * 1024 + 64; // 1025 lines over 4 ways
+    EXPECT_DEATH(cfg.validate(), "l1.bytes 65600 is not a multiple");
+}
+
+TEST(SystemConfigDeath, L2SizeNotWholeSets)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l2BytesPerGpu = 3 * 1024 * 1024 + 512; // 8 lines, not 16 ways
+    EXPECT_DEATH(cfg.validate(), "l2.bytes .* is not a multiple");
+}
+
+TEST(SystemConfigDeath, L2TlbEntriesNotWholeSets)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l2TlbEntries = 500; // 8 ways
+    EXPECT_DEATH(cfg.validate(), "l2tlb.entries 500 is not a multiple");
+}
+
+TEST(SystemConfigDeath, ZeroCacheSize)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l1Bytes = 0;
+    EXPECT_DEATH(cfg.validate(), "cache sizes must be positive");
+    cfg = baselineConfig();
+    cfg.l2BytesPerGpu = 0;
+    EXPECT_DEATH(cfg.validate(), "cache sizes must be positive");
+}
+
+TEST(SystemConfigDeath, ZeroTlbSize)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l1TlbEntries = 0;
+    EXPECT_DEATH(cfg.validate(), "TLB entries and ways must be positive");
+    cfg = baselineConfig();
+    cfg.l2TlbEntries = 0;
+    EXPECT_DEATH(cfg.validate(), "TLB entries and ways must be positive");
+    cfg = baselineConfig();
+    cfg.l2TlbAssoc = 0;
+    EXPECT_DEATH(cfg.validate(), "TLB entries and ways must be positive");
+}
+
+TEST(SystemConfigDeath, AssociativityAboveThirtyTwo)
+{
+    SystemConfig cfg = baselineConfig();
+    cfg.l2Assoc = 64;
+    EXPECT_DEATH(cfg.validate(), "above 32 ways");
+}
+
 TEST(ConfigDigest, EqualConfigsShareADigest)
 {
     EXPECT_EQ(baselineConfig().digest(), baselineConfig().digest());

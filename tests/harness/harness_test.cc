@@ -113,6 +113,43 @@ TEST(ParseScaleEnvDeathTest, RejectsBadValues)
                 "NETCRAFTER_SCALE");
 }
 
+TEST(ParseTolerancePct, AcceptsNonNegativeNumbers)
+{
+    EXPECT_DOUBLE_EQ(parseTolerancePct("2", "--tolerance"), 2.0);
+    EXPECT_DOUBLE_EQ(parseTolerancePct("0.5", "--tolerance"), 0.5);
+    EXPECT_DOUBLE_EQ(parseTolerancePct("0", "--tolerance"), 0.0);
+}
+
+TEST(ParseTolerancePctDeathTest, RejectsTrailingGarbage)
+{
+    EXPECT_EXIT(parseTolerancePct("2x", "--tolerance"),
+                testing::ExitedWithCode(1),
+                "--tolerance must be a non-negative finite number, "
+                "got '2x'");
+}
+
+TEST(ParseTolerancePctDeathTest, RejectsNonNumbers)
+{
+    EXPECT_EXIT(parseTolerancePct("abc", "--tolerance"),
+                testing::ExitedWithCode(1), "--tolerance");
+    EXPECT_EXIT(parseTolerancePct("", "--tolerance"),
+                testing::ExitedWithCode(1), "--tolerance");
+}
+
+TEST(ParseTolerancePctDeathTest, RejectsNegatives)
+{
+    EXPECT_EXIT(parseTolerancePct("-1", "--tolerance"),
+                testing::ExitedWithCode(1), "--tolerance");
+}
+
+TEST(ParseTolerancePctDeathTest, RejectsNanAndInfinity)
+{
+    EXPECT_EXIT(parseTolerancePct("nan", "--tolerance"),
+                testing::ExitedWithCode(1), "--tolerance");
+    EXPECT_EXIT(parseTolerancePct("inf", "--tolerance"),
+                testing::ExitedWithCode(1), "--tolerance");
+}
+
 TEST(ParseShardsEnv, AcceptsPositiveIntegers)
 {
     EXPECT_EQ(parseShardsEnv("1"), 1u);

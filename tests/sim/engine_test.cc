@@ -12,6 +12,7 @@
 #include "src/sim/engine.hh"
 #include "src/sim/event_queue.hh"
 #include "src/sim/random.hh"
+#include "src/sim/sim_object.hh"
 #include "src/sim/small_fn.hh"
 
 namespace netcrafter::sim {
@@ -378,6 +379,74 @@ TEST(Pcg32, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 10000, 0.5, 0.02);
+}
+
+/** A component with a member handler and pooled callbacks. */
+class LedgerProbe : public SimObject
+{
+  public:
+    explicit LedgerProbe(Engine &engine) : SimObject(engine, "probe") {}
+
+    void
+    start()
+    {
+        engine().schedule(tick_, 1);
+        schedule(2, [] {});
+        scheduleAbs(3, [] {});
+    }
+
+    void tick() {}
+
+  private:
+    MemberEvent<LedgerProbe, &LedgerProbe::tick> tick_{this};
+};
+
+std::uint64_t
+eventsOfKind(const Engine &engine, const std::string &name)
+{
+    std::uint64_t n = 0;
+    for (std::size_t k = 0; k < kMaxEventKinds; ++k) {
+        if (engine.eventsByKind()[k] != 0 &&
+            eventKindName(static_cast<EventKind>(k)) == name)
+            n += engine.eventsByKind()[k];
+    }
+    return n;
+}
+
+TEST(EventKinds, NameTheHandlerOrTheSchedulingClass)
+{
+    Engine engine;
+    LedgerProbe probe(engine);
+    probe.start();
+    engine.schedule(4, [] {}); // no kind: a bare engine call
+    engine.run();
+    EXPECT_EQ(engine.eventsExecuted(), 4u);
+    EXPECT_EQ(eventsOfKind(engine, "LedgerProbe::tick"), 1u);
+    EXPECT_EQ(eventsOfKind(engine, "LedgerProbe::callback"), 2u);
+    EXPECT_EQ(eventsOfKind(engine, "unattributed"), 1u);
+    std::uint64_t sum = 0;
+    for (std::uint64_t n : engine.eventsByKind())
+        sum += n;
+    EXPECT_EQ(sum, engine.eventsExecuted());
+}
+
+TEST(EventKinds, InterningIsStable)
+{
+    const EventKind a = internEventKind("Ledger::testKind");
+    EXPECT_EQ(internEventKind("Ledger::testKind"), a);
+    EXPECT_EQ(eventKindName(a), "Ledger::testKind");
+    EXPECT_EQ(eventKindName(kUnattributed), "unattributed");
+}
+
+TEST(EventKinds, HandlerNameFromEitherCompilersSignature)
+{
+    EXPECT_EQ(memberHandlerName(
+                  "static EventKind f() [with T = ns::gpu::Cu; void "
+                  "(T::* Handler)() = &ns::gpu::Cu::dispatch]"),
+              "Cu::dispatch");
+    EXPECT_EQ(memberHandlerName("EventKind f() [T = ns::gpu::Cu, "
+                                "Handler = &ns::gpu::Cu::dispatch]"),
+              "Cu::dispatch");
 }
 
 } // namespace

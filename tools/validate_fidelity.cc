@@ -24,7 +24,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -105,7 +104,8 @@ main(int argc, char **argv)
         } else if (arg == "--scale" && i + 1 < argc) {
             scale = harness::parseScaleEnv(argv[++i], "--scale");
         } else if (arg == "--tolerance" && i + 1 < argc) {
-            tolerance_pct = std::strtod(argv[++i], nullptr);
+            tolerance_pct =
+                harness::parseTolerancePct(argv[++i], "--tolerance");
         } else {
             std::cerr << "usage: validate-fidelity [--fidelity F] "
                          "[--quick] [--scale S] [--tolerance PCT] "
